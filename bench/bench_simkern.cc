@@ -15,6 +15,10 @@
 //   ShardedClusterHeavy 80-PE sharded cluster, every message cross-shard
 //   ConfinedClusterHeavy 80-PE shard-confined *engine* run (engine/confined.h):
 //                       real CPU/disk resources, control-entity round trips
+//   DiskCacheHit        DiskArray::Read of controller-cached pages
+//   DiskCacheInsertEvict DiskArray::WriteBatch of fresh pages into a full
+//                       controller cache (one insert + one LRU eviction per
+//                       page)
 //
 
 // The Sharded* shapes run one simulation split across Arg(0) shard worker
@@ -52,6 +56,7 @@
 
 #include "common/config.h"
 #include "engine/confined.h"
+#include "iosim/disk.h"
 #include "netsim/shard_mailbox.h"
 #include "simkern/channel.h"
 #include "simkern/resource.h"
@@ -351,6 +356,66 @@ void BM_WhenAllFanout(benchmark::State& state) {
       static_cast<double>(events) / static_cast<double>(ops);
 }
 BENCHMARK(BM_WhenAllFanout)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// --- DiskCache ------------------------------------------------------------
+// One PE's disk array (paper parameters, 200-page controller cache) driven
+// by a single process.  The hit shape re-reads Arg(0) cached pages in a
+// scattered order; the insert/evict shape writes 8-page batches of fresh
+// pages, so once the cache is full every page inserted evicts the LRU page.
+// Both include the simulated CPU, controller and transmission services
+// around each cache operation.  One item = one cache hit / one page
+// inserted.
+
+Task<> CachedReads(pdblb::DiskArray& disks, int pages, int64_t rounds) {
+  for (int64_t i = 0; i < rounds; ++i) {
+    int64_t page = (i * 7919) % pages;
+    co_await disks.Read(pdblb::PageKey{1, page},
+                        pdblb::AccessPattern::kRandom);
+  }
+}
+
+Task<> FreshBatches(pdblb::DiskArray& disks, int64_t batches) {
+  for (int64_t i = 0; i < batches; ++i) {
+    co_await disks.WriteBatch(pdblb::PageKey{1, i * 8}, 8);
+  }
+}
+
+void BM_DiskCacheHit(benchmark::State& state) {
+  const int pages = static_cast<int>(state.range(0));
+  const int64_t rounds = EventTarget() / 4;
+  int64_t hits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Scheduler sched;
+    Resource cpu(sched, /*servers=*/1, "cpu");
+    pdblb::DiskArray disks(sched, pdblb::DiskConfig{}, pdblb::CpuCosts{},
+                           20.0, cpu, "disk");
+    sched.Spawn(disks.ReadStriped(pdblb::PageKey{1, 0}, pages));
+    sched.Run();
+    state.ResumeTiming();
+    sched.Spawn(CachedReads(disks, pages, rounds));
+    sched.Run();
+    hits += disks.cache_hits();
+  }
+  state.SetItemsProcessed(hits);
+}
+BENCHMARK(BM_DiskCacheHit)->Arg(64)->Arg(200)->Unit(benchmark::kMillisecond);
+
+void BM_DiskCacheInsertEvict(benchmark::State& state) {
+  const int64_t batches = EventTarget() / 16;
+  int64_t pages = 0;
+  for (auto _ : state) {
+    Scheduler sched;
+    Resource cpu(sched, /*servers=*/1, "cpu");
+    pdblb::DiskArray disks(sched, pdblb::DiskConfig{}, pdblb::CpuCosts{},
+                           20.0, cpu, "disk");
+    sched.Spawn(FreshBatches(disks, batches));
+    sched.Run();
+    pages += 8 * disks.physical_writes();
+  }
+  state.SetItemsProcessed(pages);
+}
+BENCHMARK(BM_DiskCacheInsertEvict)->Unit(benchmark::kMillisecond);
 
 // --- ShardedCluster -------------------------------------------------------
 // One 80-PE simulation split across Arg(0) shards (worker threads): each PE

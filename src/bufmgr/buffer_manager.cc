@@ -19,11 +19,7 @@ BufferManager::BufferManager(sim::Scheduler& sched, const BufferConfig& config,
   const int32_t n = static_cast<int32_t>(frames_.size());
   for (int32_t s = 0; s < n; ++s) frames_[s].next = s + 1 < n ? s + 1 : -1;
   free_head_ = 0;
-  // Page index at <= 50% load so linear probes stay short.
-  size_t buckets = 16;
-  while (buckets < frames_.size() * 2) buckets <<= 1;
-  index_.assign(buckets, 0);
-  index_mask_ = static_cast<uint32_t>(buckets - 1);
+  index_.Init(frames_.size());
 }
 
 BufferManager::~BufferManager() {
@@ -31,45 +27,7 @@ BufferManager::~BufferManager() {
 }
 
 int32_t BufferManager::Lookup(PageKey page) const {
-  uint32_t i = static_cast<uint32_t>(PageKeyHash{}(page)) & index_mask_;
-  while (index_[i] != 0) {
-    int32_t slot = index_[i] - 1;
-    if (frames_[slot].page == page) return slot;
-    i = (i + 1) & index_mask_;
-  }
-  return -1;
-}
-
-void BufferManager::IndexInsert(PageKey page, int32_t slot) {
-  uint32_t i = static_cast<uint32_t>(PageKeyHash{}(page)) & index_mask_;
-  while (index_[i] != 0) i = (i + 1) & index_mask_;
-  index_[i] = slot + 1;
-}
-
-void BufferManager::IndexErase(PageKey page) {
-  uint32_t i = static_cast<uint32_t>(PageKeyHash{}(page)) & index_mask_;
-  while (true) {
-    assert(index_[i] != 0 && "erasing a page that is not indexed");
-    if (frames_[index_[i] - 1].page == page) break;
-    i = (i + 1) & index_mask_;
-  }
-  // Backward-shift deletion: pull every displaced entry of the probe chain
-  // forward so lookups never need tombstones.
-  uint32_t j = i;
-  while (true) {
-    j = (j + 1) & index_mask_;
-    if (index_[j] == 0) break;
-    uint32_t home = static_cast<uint32_t>(
-                        PageKeyHash{}(frames_[index_[j] - 1].page)) &
-                    index_mask_;
-    // Move entry j into the hole at i iff probing from its home bucket
-    // would have passed i (cyclic distance test).
-    if (((j - home) & index_mask_) >= ((j - i) & index_mask_)) {
-      index_[i] = index_[j];
-      i = j;
-    }
-  }
-  index_[i] = 0;
+  return index_.Find(frames_, page);
 }
 
 void BufferManager::Touch(int32_t slot) {
@@ -92,7 +50,7 @@ void BufferManager::Admit(PageKey page) {
   f.next = -1;
   f.dirty = false;
   f.resident = true;
-  IndexInsert(page, slot);
+  index_.Insert(page, slot);
   ++resident_;
   policy_->OnAdmit(slot);
 }
@@ -107,7 +65,7 @@ void BufferManager::EvictOne() {
     sched_.Spawn(disks_.WriteRandom(f.page));
   }
   policy_->OnEvict(slot);
-  IndexErase(f.page);
+  index_.Erase(frames_, f.page);
   ++evictions_;
   last_evicted_ = f.page;
   f.last_access = BufferFrame::kNever;
@@ -386,7 +344,7 @@ void BufferManager::OnCrash() {
   }
   free_head_ = 0;
   resident_ = 0;
-  std::fill(index_.begin(), index_.end(), 0);
+  index_.Clear();
   policy_->Reset();
 }
 

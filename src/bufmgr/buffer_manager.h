@@ -18,12 +18,14 @@
 //
 // Residency lives in a fixed slot-indexed frame table: a flat array of
 // BufferFrame slots allocated once at construction, a LIFO free list
-// threaded through the slots, and an open-addressing page index (linear
+// threaded through the slots, and a PageIndex (iosim/page_cache.h: linear
 // probing, backward-shift deletion) sized at construction.  Hits, misses,
 // evictions and admissions therefore allocate nothing in steady state; the
 // replacement order is delegated to a pluggable EvictionPolicy
 // (LRU / LRU-K / LFU / CLOCK, selected by BufferConfig::eviction — see
-// docs/bufmgr.md).
+// docs/bufmgr.md).  The default LRU policy is an LruList threaded through
+// the frames.  The disk controller cache (iosim/disk.h) is built from the
+// same PageIndex and LruList, so pdblb has one page-cache idiom.
 
 #ifndef PDBLB_BUFMGR_BUFFER_MANAGER_H_
 #define PDBLB_BUFMGR_BUFFER_MANAGER_H_
@@ -40,6 +42,7 @@
 #include "catalog/relation.h"
 #include "common/config.h"
 #include "iosim/disk.h"
+#include "iosim/page_cache.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
 
@@ -176,8 +179,6 @@ class BufferManager {
 
   /// Slot holding `page`, or -1.
   int32_t Lookup(PageKey page) const;
-  void IndexInsert(PageKey page, int32_t slot);
-  void IndexErase(PageKey page);
 
   void Touch(int32_t slot);
   void Admit(PageKey page);
@@ -201,12 +202,10 @@ class BufferManager {
   std::string name_;
 
   // Frame table: fixed slots + LIFO free list (threaded through
-  // BufferFrame::next) + open-addressing page index storing slot + 1
-  // (0 = empty).
+  // BufferFrame::next) + the shared open-addressing page index.
   std::vector<BufferFrame> frames_;
   std::unique_ptr<EvictionPolicy> policy_;
-  std::vector<int32_t> index_;
-  uint32_t index_mask_ = 0;
+  PageIndex index_;
   int32_t free_head_ = -1;
   int resident_ = 0;
   int reserved_ = 0;

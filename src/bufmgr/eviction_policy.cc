@@ -3,9 +3,9 @@
 // The four replacement policies.  Semantics (documented in docs/bufmgr.md
 // and mirrored by the reference models in tests/bufmgr_policy_test.cc):
 //
-//  * LRU     — intrusive doubly-linked recency list threaded through the
-//              frame slots (head = MRU, tail = LRU).  Exactly reproduces the
-//              victim sequence of the old std::list implementation, so
+//  * LRU     — the shared LruList (iosim/page_cache.h) threaded through
+//              the frame slots (head = MRU, tail = LRU).  Exactly reproduces
+//              the victim sequence of the old std::list implementation, so
 //              default-policy runs stay byte-identical to pre-refactor
 //              builds.
 //  * LRU-K   — K = 2: victim is the frame with the oldest second-to-last
@@ -31,6 +31,8 @@
 
 #include <cassert>
 
+#include "iosim/page_cache.h"
+
 namespace pdblb {
 namespace {
 
@@ -38,48 +40,19 @@ class LruPolicy final : public EvictionPolicy {
  public:
   using EvictionPolicy::EvictionPolicy;
 
-  void OnAdmit(int32_t slot) override { PushFront(slot); }
-
-  void OnAccess(int32_t slot) override {
-    if (head_ == slot) return;
-    Unlink(slot);
-    PushFront(slot);
-  }
+  void OnAdmit(int32_t slot) override { lru_.PushFront(frames_, slot); }
+  void OnAccess(int32_t slot) override { lru_.MoveToFront(frames_, slot); }
 
   int32_t PickVictim() override {
-    assert(tail_ >= 0 && "PickVictim on an empty pool");
-    return tail_;
+    assert(lru_.tail() >= 0 && "PickVictim on an empty pool");
+    return lru_.tail();
   }
 
-  void OnEvict(int32_t slot) override { Unlink(slot); }
-
-  void Reset() override {
-    head_ = -1;
-    tail_ = -1;
-  }
+  void OnEvict(int32_t slot) override { lru_.Unlink(frames_, slot); }
+  void Reset() override { lru_.Clear(); }
 
  private:
-  void PushFront(int32_t slot) {
-    BufferFrame& f = frames_[slot];
-    f.prev = -1;
-    f.next = head_;
-    if (head_ >= 0) frames_[head_].prev = slot;
-    head_ = slot;
-    if (tail_ < 0) tail_ = slot;
-  }
-
-  void Unlink(int32_t slot) {
-    BufferFrame& f = frames_[slot];
-    if (f.prev >= 0) frames_[f.prev].next = f.next;
-    if (f.next >= 0) frames_[f.next].prev = f.prev;
-    if (head_ == slot) head_ = f.next;
-    if (tail_ == slot) tail_ = f.prev;
-    f.prev = -1;
-    f.next = -1;
-  }
-
-  int32_t head_ = -1;  // most recently used
-  int32_t tail_ = -1;  // least recently used
+  LruList lru_;
 };
 
 class LruKPolicy final : public EvictionPolicy {

@@ -80,32 +80,38 @@ sim::Task<> DiskArray::InjectedRetries(sim::Resource& disk) {
   }
 }
 
-bool DiskArray::CacheContains(PageKey page) const {
-  return cache_map_.find(page) != cache_map_.end();
-}
-
 void DiskArray::CacheInsert(PageKey page) {
   if (config_.disk_cache_pages <= 0) return;
-  auto it = cache_map_.find(page);
-  if (it != cache_map_.end()) {
-    cache_lru_.erase(it->second);
-    cache_map_.erase(it);
+  const size_t capacity = static_cast<size_t>(config_.disk_cache_pages);
+  int32_t slot = CacheFind(page);
+  if (slot >= 0) {
+    cache_lru_.MoveToFront(cache_slots_, slot);
+    return;
   }
-  cache_lru_.push_front(page);
-  cache_map_[page] = cache_lru_.begin();
-  while (static_cast<int>(cache_lru_.size()) > config_.disk_cache_pages) {
-    cache_map_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
+  if (cache_slots_.size() < capacity) {
+    if (cache_slots_.empty()) {
+      cache_slots_.reserve(capacity);
+      cache_index_.Init(capacity);
+    }
+    slot = static_cast<int32_t>(cache_slots_.size());
+    cache_slots_.push_back(CacheSlot{page});
+  } else {
+    slot = cache_lru_.tail();
+    cache_lru_.Unlink(cache_slots_, slot);
+    cache_index_.Erase(cache_slots_, cache_slots_[slot].page);
+    cache_slots_[slot].page = page;
   }
+  cache_index_.Insert(page, slot);
+  cache_lru_.PushFront(cache_slots_, slot);
 }
 
 sim::Task<> DiskArray::Read(PageKey page, AccessPattern pattern) {
   ++logical_reads_;
   co_await cpu_.Use(InstructionsToMs(costs_.io_overhead, mips_));
 
-  if (CacheContains(page)) {
+  if (int32_t slot = CacheFind(page); slot >= 0) {
     ++cache_hits_;
-    CacheInsert(page);  // refresh LRU position
+    cache_lru_.MoveToFront(cache_slots_, slot);
     co_await controller_->Use(config_.controller_time_per_page_ms);
     co_await sched_.Delay(config_.transmission_time_per_page_ms, tag_);
     co_return;
@@ -132,10 +138,10 @@ sim::Task<> DiskArray::ReadStriped(PageKey first, int64_t count) {
   while (i < count) {
     // Skip cached pages (controller service only).
     PageKey page{first.relation_id, first.page_no + i};
-    if (CacheContains(page)) {
+    if (int32_t slot = CacheFind(page); slot >= 0) {
       ++cache_hits_;
       ++logical_reads_;
-      CacheInsert(page);
+      cache_lru_.MoveToFront(cache_slots_, slot);
       batches.Spawn(
           SpawnedUse(*controller_, config_.controller_time_per_page_ms));
       ++i;

@@ -13,19 +13,26 @@
 //    references to the prefetched pages cost only controller + transmission.
 // The CPU overhead per I/O operation (3000 instructions) is charged on the
 // owning PE's CPU.
+//
+// The controller cache is exact LRU over `disk_cache_pages` slots.  It uses
+// the buffer manager's page-cache idiom (iosim/page_cache.h): a flat slot
+// array, a PageIndex from page to slot and an LruList threaded through the
+// slots.  A full cache reuses its LRU slot for the incoming page, so hits,
+// inserts and evictions never allocate.  The slots and the index are sized
+// on the first insert, so a PE whose controller never caches a page costs
+// no cache memory.
 
 #ifndef PDBLB_IOSIM_DISK_H_
 #define PDBLB_IOSIM_DISK_H_
 
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/relation.h"
 #include "common/config.h"
+#include "iosim/page_cache.h"
 #include "simkern/resource.h"
 #include "simkern/rng.h"
 #include "simkern/scheduler.h"
@@ -116,11 +123,21 @@ class DiskArray {
   int64_t cache_hits() const { return cache_hits_; }
   int64_t logical_reads() const { return logical_reads_; }
 
+  /// True if `page` is in the controller cache (for tests).
+  bool IsCached(PageKey page) const { return CacheFind(page) >= 0; }
+  /// Pages currently in the controller cache.
+  int cached_pages() const { return static_cast<int>(cache_slots_.size()); }
+
   void ResetStats();
 
  private:
   sim::Resource& DiskFor(PageKey page);
-  bool CacheContains(PageKey page) const;
+  /// Controller-cache slot holding `page`, or -1.
+  int32_t CacheFind(PageKey page) const {
+    return cache_index_.Find(cache_slots_, page);
+  }
+  /// Makes `page` the most recently used cached page, evicting the least
+  /// recently used one when the cache is full.
   void CacheInsert(PageKey page);
   /// One prefetch batch: disk access plus controller service.
   sim::Task<> ReadBatchFromDisk(PageKey first, int pages);
@@ -143,10 +160,16 @@ class DiskArray {
   std::unique_ptr<sim::Resource> controller_;
   std::unique_ptr<sim::Resource> log_disk_;
 
-  // LRU disk cache: most recent at the front.
-  std::list<PageKey> cache_lru_;
-  std::unordered_map<PageKey, std::list<PageKey>::iterator, PageKeyHash>
-      cache_map_;
+  // Controller cache: one slot per cached page, grown up to
+  // disk_cache_pages and then recycled in LRU order.
+  struct CacheSlot {
+    PageKey page;
+    int32_t prev = -1;
+    int32_t next = -1;
+  };
+  std::vector<CacheSlot> cache_slots_;
+  PageIndex cache_index_;
+  LruList cache_lru_;
 
   int64_t physical_reads_ = 0;
   int64_t physical_writes_ = 0;

@@ -121,5 +121,41 @@ TEST(DeterminismTest, RateMatchStrategy) {
   ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
 }
 
+// Frozen disk-subsystem counts of a small Fig. 9a-shaped run (joins beside
+// debit-credit OLTP on the A nodes, 5 disks per PE), summed over the PEs.
+// The controller cache and the page buffer are both exact LRU; a stale LRU
+// position in either one moves these numbers.  They are golden: update
+// them only for a deliberate change to the disk or buffer model.
+TEST(DeterminismTest, Fig9ShapedDiskCountsArePinned) {
+  SystemConfig cfg;
+  cfg.num_pes = 10;
+  cfg.join_query.arrival_rate_per_pe_qps = 0.075;
+  cfg.oltp.enabled = true;
+  cfg.oltp.placement = OltpPlacement::kANodes;
+  cfg.disk.disks_per_pe = 5;
+  cfg.strategy = strategies::OptIOCpu();
+  cfg.warmup_ms = 1500.0;
+  cfg.measurement_ms = 20000.0;
+  cfg.seed = 1995;
+  Cluster cluster(cfg);
+  MetricsReport report = cluster.Run();
+  ASSERT_GT(report.joins_completed, 0);
+  ASSERT_GT(report.oltp_completed, 0);
+
+  int64_t logical_reads = 0, physical_reads = 0, physical_writes = 0;
+  int64_t cache_hits = 0;
+  for (PeId pe = 0; pe < cluster.num_pes(); ++pe) {
+    const DiskArray& d = cluster.pe(pe).disks();
+    logical_reads += d.logical_reads();
+    physical_reads += d.physical_reads();
+    physical_writes += d.physical_writes();
+    cache_hits += d.cache_hits();
+  }
+  EXPECT_EQ(logical_reads, 17910);
+  EXPECT_EQ(physical_reads, 6976);
+  EXPECT_EQ(physical_writes, 5243);
+  EXPECT_EQ(cache_hits, 3773);
+}
+
 }  // namespace
 }  // namespace pdblb

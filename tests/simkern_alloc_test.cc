@@ -335,9 +335,11 @@ TEST(SchedulerAllocTest, CancellationAllocatesNothing) {
 // every eviction policy allocates exactly never.  (The old manager paid
 // std::list/unordered_map node churn on every miss, forever.)
 //
-// The disk controller cache is disabled: its own LRU cache is a std
-// container and allocates on insert, which would mask the property under
-// test (that cache has its own budget and is not steady-state-critical).
+// The disk controller cache is disabled here: a striped read spawns one
+// TaskGroup member per controller-cached page, and a 28-page scan of cached
+// pages outgrows the group's inline member capacity.  The controller cache
+// itself is pinned allocation-free by DiskControllerCacheChurnAllocatesNothing
+// below.
 
 Task<> BufferChurnLoop(Scheduler& sched, BufferManager& buf, int64_t rounds,
                        uint64_t* fetches) {
@@ -409,6 +411,64 @@ TEST(SchedulerAllocTest, BufferPoolChurnAllocatesNothing) {
         << "fetch hit/miss/evict/writeback churn allocated under "
         << EvictionPolicyName(kind);
   }
+}
+
+// The disk controller cache uses the frame table's idiom
+// (iosim/page_cache.h).  Its slots and page index are sized on the first
+// insert; after that, cache hits, inserts and LRU evictions through Read,
+// ReadStriped and WriteBatch allocate nothing.
+
+Task<> DiskCacheChurnLoop(DiskArray& disks, int64_t rounds, uint64_t* ops) {
+  uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  auto next = [&rng](uint64_t bound) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return static_cast<int64_t>(rng % bound);
+  };
+  for (int64_t i = 0; i < rounds; ++i) {
+    // Hot random reads over 16 pages of a 64-page cache: hits.
+    for (int k = 0; k < 4; ++k) {
+      co_await disks.Read(PageKey{1, next(16)}, AccessPattern::kRandom);
+    }
+    // Cold reads from a universe far larger than the cache: misses whose
+    // inserts (four pages for the sequential prefetch) evict.
+    co_await disks.Read(PageKey{2, next(4096)}, AccessPattern::kRandom);
+    co_await disks.Read(PageKey{2, next(4096)}, AccessPattern::kSequential);
+    // Striped reads mix cached and missing pages.  At most 8 pages keep the
+    // per-call TaskGroup within its inline member capacity.
+    co_await disks.ReadStriped(PageKey{1, next(24)}, 8);
+    co_await disks.WriteBatch(PageKey{3, next(4096)}, 4);
+    *ops += 8;
+  }
+}
+
+TEST(SchedulerAllocTest, DiskControllerCacheChurnAllocatesNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  Resource cpu(sched, /*servers=*/1, "cpu");
+  CpuCosts costs;
+  DiskConfig disk_config;
+  disk_config.disk_cache_pages = 64;
+  DiskArray disks(sched, disk_config, costs, 20.0, cpu, "t");
+
+  uint64_t ops = 0;
+  sched.Spawn(DiskCacheChurnLoop(disks, /*rounds=*/1000000, &ops));
+  // Warm-up: size the cache, fill it, grow the frame arena.
+  sched.RunUntil(20000.0);
+  ASSERT_EQ(disks.cached_pages(), 64) << "shape does not fill the cache";
+  ASSERT_GT(disks.cache_hits(), 100);
+
+  uint64_t allocations_before = g_allocations;
+  uint64_t ops_before = ops;
+  int64_t hits_before = disks.cache_hits();
+  int64_t reads_before = disks.physical_reads();
+  sched.RunUntil(200000.0);
+  EXPECT_GT(ops - ops_before, 5000u);
+  EXPECT_GT(disks.cache_hits() - hits_before, 1000);
+  EXPECT_GT(disks.physical_reads() - reads_before, 1000);
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << "controller-cache hit/insert/evict churn allocated";
 }
 
 TEST(SchedulerAllocTest, AllocationCounterIsLive) {
