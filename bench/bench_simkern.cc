@@ -13,8 +13,6 @@
 //   WhenAllFanout       repeated fork/join over F child tasks
 //   ShardedClusterLight 80-PE sharded cluster, shard-local messaging
 //   ShardedClusterHeavy 80-PE sharded cluster, every message cross-shard
-//   ConfinedClusterHeavy 80-PE shard-confined *engine* run (engine/confined.h):
-//                       real CPU/disk resources, control-entity round trips
 //   DiskCacheHit        DiskArray::Read of controller-cached pages
 //   DiskCacheInsertEvict DiskArray::WriteBatch of fresh pages into a full
 //                       controller cache (one insert + one LRU eviction per
@@ -55,7 +53,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "engine/confined.h"
 #include "iosim/disk.h"
 #include "netsim/shard_mailbox.h"
 #include "simkern/channel.h"
@@ -554,53 +551,6 @@ void BM_ShardedClusterHeavy(benchmark::State& state) {
                     /*lookahead_ms=*/0.1);
 }
 BENCHMARK(BM_ShardedClusterHeavy)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_ConfinedClusterHeavy(benchmark::State& state) {
-  // The shard-confined *engine* at the paper's figure scale: 80 PEs plus
-  // the control entity, full per-PE CPU/disk resource models, placement
-  // round trips to the control node, scan fan-out with shipped results,
-  // and the wire-pinned 0.1 ms lookahead.  Unlike the synthetic Sharded*
-  // shapes this exercises engine/confined.cc — the executor protocol the
-  // --shards fix introduces — so its S=1/2/4 trajectory is the honest
-  // answer to "does --shards parallelize a cluster run now?".  Per-entity
-  // results stay bit-identical across S (tests/sharded_test.cc pins it);
-  // only the wall clock may move.
-  const int shards = static_cast<int>(state.range(0));
-  pdblb::ConfinedClusterOptions opt;
-  opt.num_pes = 80;
-  opt.shards = shards;
-  opt.mpl = 4;
-  opt.queries_per_slot = FastMode() ? 2 : 8;
-  opt.report_rounds = FastMode() ? 4 : 8;
-  uint64_t events = 0;
-  uint64_t windows = 0;
-  uint64_t cross = 0;
-  int64_t queries = 0;
-  for (auto _ : state) {
-    pdblb::ConfinedClusterReport report = pdblb::RunConfinedCluster(opt);
-    events += report.events;
-    windows += report.windows;
-    cross += report.cross_shard_messages;
-    for (const pdblb::ConfinedPeResult& pe : report.per_pe) {
-      queries += pe.queries;
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.counters["windows"] = benchmark::Counter(
-      static_cast<double>(windows), benchmark::Counter::kAvgIterations);
-  state.counters["events_per_window"] =
-      windows > 0 ? static_cast<double>(events) / static_cast<double>(windows)
-                  : 0.0;
-  state.counters["queries"] = benchmark::Counter(
-      static_cast<double>(queries), benchmark::Counter::kAvgIterations);
-  state.counters["cross_shard_msgs"] = benchmark::Counter(
-      static_cast<double>(cross), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ConfinedClusterHeavy)
     ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()

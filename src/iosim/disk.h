@@ -95,6 +95,8 @@ class DiskArray {
   /// `retry_penalty_ms` service charge, at most `retry_limit` times per
   /// access (a chain that exhausts the budget surfaces the final error
   /// without another reissue, so io_errors() >= io_retries() always).
+  /// `error_rate` may be 1.0 (every draw fails; each access then costs
+  /// exactly `retry_limit` retries), since the budget bounds the chain.
   /// Never armed on the fault-free path: zero draws, zero extra awaits.
   void ConfigureFaults(double error_rate, int retry_limit,
                        double retry_penalty_ms, sim::Rng rng);

@@ -7,11 +7,12 @@
 // wire message routed through the sharded kernel's per-shard-pair SPSC
 // mailboxes (simkern/sharded.h).
 //
-// ShardWire is the packetized transport for shard-confined workloads: the
-// sharded analogue of Network::Transfer's wire leg.  The endpoint CPU
-// costs of a transfer stay with the caller (they are entity-local work on
-// the sending/receiving entity's own resources); the wire delay — at least
-// one packet, hence at least the lookahead — is what crosses shards.
+// ShardWire is the packetized transport for shard-confined workloads (the
+// bench_simkern ShardedCluster* shapes): the sharded analogue of
+// Network::Transfer's wire leg.  The endpoint CPU costs of a transfer stay
+// with the caller (they are entity-local work on the sending/receiving
+// entity's own resources); the wire delay — at least one packet, hence at
+// least the lookahead — is what crosses shards.
 
 #ifndef PDBLB_NETSIM_SHARD_MAILBOX_H_
 #define PDBLB_NETSIM_SHARD_MAILBOX_H_
@@ -23,9 +24,7 @@
 
 #include "common/config.h"
 #include "common/units.h"
-#include "simkern/resource.h"
 #include "simkern/sharded.h"
-#include "simkern/task.h"
 
 namespace pdblb {
 
@@ -80,25 +79,6 @@ class ShardWire {
                                 static_cast<uint16_t>(src)));
   }
 
-  /// Ships `bytes` like Send, then models the *receiver's* endpoint leg of
-  /// Network::Transfer: on wire arrival, a handler coroutine on `dst`'s
-  /// shard queues for `dst_cpu` (which must live on `dst`'s home shard)
-  /// for `cpu_ms` — typically receive_message + copy_message x packets —
-  /// and only then runs `fn`.  The sender's endpoint leg stays with the
-  /// caller (entity-local work on its own CPU, charged before Deliver).
-  /// This is the message shape every confined cross-PE interaction uses:
-  /// wire crossing through the mailbox band, endpoint CPU charged on the
-  /// endpoint's own shard.
-  template <typename F>
-  void Deliver(int src, int dst, int64_t bytes, sim::Resource& dst_cpu,
-               SimTime cpu_ms, F&& fn) {
-    sim::Resource* cpu = &dst_cpu;
-    Send(src, dst, bytes,
-         [this, dst, cpu, cpu_ms, fn = std::forward<F>(fn)]() mutable {
-           sharded_.home(dst).Spawn(ReceiveLeg(cpu, cpu_ms, std::move(fn)));
-         });
-  }
-
   // --- statistics (sum after Run(); per-entity cells are single-writer) ---
   int64_t messages_sent() const { return Sum(&PerEntityStats::messages); }
   int64_t packets_sent() const { return Sum(&PerEntityStats::packets); }
@@ -110,12 +90,6 @@ class ShardWire {
   }
 
  private:
-  template <typename F>
-  static sim::Task<> ReceiveLeg(sim::Resource* cpu, SimTime cpu_ms, F fn) {
-    co_await cpu->Use(cpu_ms);
-    fn();
-  }
-
   // One cache line per sending entity: written only by the owning shard's
   // thread, padded so block-boundary neighbours never share a line.
   struct alignas(64) PerEntityStats {

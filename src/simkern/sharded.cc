@@ -4,7 +4,6 @@
 
 #include <limits>
 
-#include "simkern/resource.h"
 #include "simkern/task.h"
 
 namespace pdblb::sim {
@@ -151,57 +150,10 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
     done_cv_.notify_one();
   }
   // Completed frames were recycled into this worker's thread-local arena;
-  // release them so nested parallelism (sweep --jobs x --shards) does not
-  // pin every shard's peak frame footprint until process exit — the same
+  // release them so a ShardedScheduler built inside a parallel host does
+  // not pin every shard's peak frame footprint until process exit — the same
   // discipline the sweep runner applies per finished point.
   TrimFrameArenaThreadCache();
-}
-
-namespace {
-
-// The owner-shard half of RemoteUse: queue for and hold the resource for
-// the full service interval (FCFS with the owner entity's local users),
-// then post the handback that resumes the caller on its own shard.
-Task<> RemoteServe(ShardedScheduler* sharded, int owner, int from,
-                   Resource* resource, SimTime service_ms,
-                   std::coroutine_handle<> caller) {
-  co_await resource->Use(service_ms);
-  sharded->Post(
-      owner, from, sharded->home(owner).Now() + sharded->lookahead_ms(),
-      [caller] { caller.resume(); },
-      TraceTag(TraceSubsystem::kNetwork, static_cast<uint16_t>(owner)));
-}
-
-}  // namespace
-
-void RemoteUseAwaiter::await_suspend(std::coroutine_handle<> h) {
-  // Copy the fields out: the request lambda outlives this awaiter object
-  // (it lives in `h`'s frame, which stays suspended, but keeping the
-  // lambda self-contained makes that independence explicit).
-  ShardedScheduler* sharded = sharded_;
-  int from = from_;
-  int owner = owner_;
-  Resource* resource = resource_;
-  SimTime service_ms = service_ms_;
-  sharded->Post(
-      from, owner, sharded->home(from).Now() + sharded->lookahead_ms(),
-      [sharded, owner, from, resource, service_ms, h] {
-        sharded->home(owner).Spawn(
-            RemoteServe(sharded, owner, from, resource, service_ms, h));
-      },
-      TraceTag(TraceSubsystem::kNetwork, static_cast<uint16_t>(from)));
-}
-
-void RunUntilWindowed(Scheduler& sched, SimTime until, SimTime lookahead_ms) {
-  assert(lookahead_ms > 0.0);
-  for (;;) {
-    SimTime next = sched.NextEventTime();
-    if (next > until) break;  // covers the empty (+inf) calendar
-    SimTime bound = next + lookahead_ms;
-    if (bound > until) break;  // final partial window: finish via RunUntil
-    sched.RunBefore(bound);
-  }
-  sched.RunUntil(until);  // drain [.., until] and advance Now() to until
 }
 
 }  // namespace pdblb::sim

@@ -40,23 +40,23 @@
 // shard count and across parallel/serial execution — the property the
 // seeded stress suite (tests/sharded_test.cc) pins.  (The ordering key
 // uses the origin *entity*, not the origin shard: a shard id would change
-// with --shards and break the invariance.)
+// with the shard count and break the invariance.)
 //
 // What this layer does NOT give: same-timestamp interleaving between
 // entities in different shards is not preserved relative to the
 // single-queue kernel — it doesn't need to be, because entities without
 // shared state commute at equal timestamps.  Workloads that share mutable
-// state across entities (today: the full engine's executors, which touch
-// many PEs from one coroutine) must keep all involved entities in one
-// shard; `RunUntilWindowed` below is that degenerate single-group mode,
-// used by Cluster for --shards>1 until the executors are shard-confined.
+// state across entities must keep all involved entities in one shard.  The
+// full engine's executors touch many PEs from one coroutine, so a Cluster
+// always runs on one plain Scheduler; this layer is a kernel-level
+// experiment, exercised by tests/sharded_test.cc and the bench_simkern
+// ShardedCluster* shapes (see simkern/README.md, "Sharded execution").
 
 #ifndef PDBLB_SIMKERN_SHARDED_H_
 #define PDBLB_SIMKERN_SHARDED_H_
 
 #include <cassert>
 #include <condition_variable>
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -71,8 +71,6 @@
 #include "simkern/scheduler.h"
 
 namespace pdblb::sim {
-
-class Resource;
 
 /// Phase-separated single-producer/single-consumer mailbox for one
 /// (source shard, destination shard) pair.  The producer is the source
@@ -256,68 +254,6 @@ class ShardedScheduler {
   int running_ = 0;
   bool stop_ = false;
 };
-
-/// Awaitable remote-service request: the message-shaped replacement for a
-/// direct `co_await resource.Use(...)` on another entity's resource, which
-/// a shard-confined coroutine must never do (the resource may live on a
-/// different shard's calendar and thread).
-///
-/// Protocol (both legs ride the message band, so the result is
-/// shard-count-invariant like any other Post):
-///
-///   caller (entity `from`, suspended)
-///     --[request, +lookahead]--> owner's shard spawns a serve coroutine
-///                                that queues for and holds `resource` for
-///                                `service_ms` (FCFS with the owner's local
-///                                users)
-///     <--[handback, +lookahead]-- caller resumes on its own shard
-///
-/// Total latency: 2 x lookahead + remote queueing + service.  The two
-/// lookahead legs model the request/reply wire crossings; callers that
-/// want the full netsim packet cost should charge their own endpoint CPU
-/// around the await (see netsim/shard_mailbox.h).
-///
-/// Not cancellation-safe: the handback resumes the caller's handle
-/// directly, so the caller's frame must stay alive until the handback
-/// lands (do not Cancel() a process suspended in RemoteUse).
-class RemoteUseAwaiter {
- public:
-  RemoteUseAwaiter(ShardedScheduler& sharded, int from, int owner,
-                   Resource& resource, SimTime service_ms)
-      : sharded_(&sharded),
-        from_(from),
-        owner_(owner),
-        resource_(&resource),
-        service_ms_(service_ms) {}
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume() const noexcept {}
-
- private:
-  ShardedScheduler* sharded_;
-  int from_;
-  int owner_;
-  Resource* resource_;
-  SimTime service_ms_;
-};
-
-/// `co_await RemoteUse(ss, from, owner, res, ms)` — see RemoteUseAwaiter.
-/// `resource` must live on `owner`'s home shard; the caller must be
-/// executing on `from`'s home shard.
-inline RemoteUseAwaiter RemoteUse(ShardedScheduler& sharded, int from,
-                                  int owner, Resource& resource,
-                                  SimTime service_ms) {
-  return RemoteUseAwaiter(sharded, from, owner, resource, service_ms);
-}
-
-/// Drives a single Scheduler to `until` through the sharded window pacing
-/// (repeated RunBefore(next event + lookahead) slices): the degenerate
-/// one-group case of ShardedScheduler::Run.  Dispatch order — and therefore
-/// every simulation result — is identical to RunUntil(until); Cluster runs
-/// under this driver for config.shards > 1, and CI keeps the equivalence
-/// honest by comparing --shards=4 CSVs against --shards=1.
-void RunUntilWindowed(Scheduler& sched, SimTime until, SimTime lookahead_ms);
 
 }  // namespace pdblb::sim
 

@@ -259,7 +259,7 @@ TEST(CancelTest, CancelWaiterParkedInBufferMemoryQueue) {
 // Composite scenario exercising every cancellation path above.  Replaying
 // it must produce the identical event stream: same trace bytes, same event
 // count.  This is the kernel-level half of the determinism contract that
-// lets fault injection stay bit-identical across --jobs/--shards.
+// lets fault injection stay bit-identical across --jobs values and reruns.
 struct ScenarioResult {
   uint64_t events = 0;
   std::string trace;

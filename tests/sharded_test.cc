@@ -5,10 +5,8 @@
 //    message arrivals and messages order by (origin, ordinal) — regardless
 //    of co-location, shard count, or post order;
 //  * seeded stress: an 80-entity message-passing workload produces
-//    bit-identical per-entity results for --shards=1/2/4, parallel and
+//    bit-identical per-entity results for 1, 2 and 4 shards, parallel and
 //    serial, across reruns (the shard-count-invariance contract);
-//  * RunUntilWindowed == RunUntil, down to identical event traces (the
-//    equivalence Cluster relies on for config.shards > 1);
 //  * structured cancellation: ~Scheduler destroys suspended detached
 //    frames (locals' destructors run; nothing leaks — the ASan CI job
 //    keeps that honest without suppressions).
@@ -18,16 +16,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/config.h"
-#include "engine/confined.h"
 #include "netsim/shard_mailbox.h"
-#include "runner/sweep.h"
 #include "simkern/channel.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
@@ -282,32 +277,6 @@ TEST(ShardedStressTest, PerEntityTraceProjectionInvariantAcrossShardCounts) {
   }
 }
 
-TEST(ShardedStressTest, ClusterReportsAndCsvInvariantAcrossShardCounts) {
-  // Engine-level shard-count invariance, the same property CI smokes on
-  // fig5/fig6: identical runner CSV bytes (derived from the full
-  // MetricsReports) for --shards=1 vs --shards=4.
-  runner::Sweep sweep;
-  for (int pes : {4, 8}) {
-    SystemConfig cfg;
-    cfg.num_pes = pes;
-    cfg.single_user_mode = true;
-    cfg.single_user_queries = 2;
-    cfg.seed = 99;
-    sweep.Add({"sharded_smoke/" + std::to_string(pes), "smoke",
-               static_cast<double>(pes), std::to_string(pes), cfg});
-  }
-  runner::SweepOptions opts;
-  opts.shards = 1;
-  std::string csv1 = runner::ResultsCsv(sweep.Run(opts));
-  opts.shards = 3;  // uneven partitions, the CI smoke's third point
-  std::string csv3 = runner::ResultsCsv(sweep.Run(opts));
-  opts.shards = 4;
-  std::string csv4 = runner::ResultsCsv(sweep.Run(opts));
-  ASSERT_GT(csv1.size(), 100u);
-  EXPECT_EQ(csv1, csv3);
-  EXPECT_EQ(csv1, csv4);
-}
-
 TEST(ShardedStressTest, CountersAreConsistent) {
   uint64_t windows = 0;
   uint64_t cross = 0;
@@ -332,212 +301,11 @@ TEST(ShardedDeathTest, CrossShardPostInsideLookaheadAsserts) {
 }
 #endif
 
-// --- RemoteUse: the request/handback awaiter ------------------------------
-
-struct RemoteUseProbe {
-  SimTime resumed_at = -1.0;
-  SimTime local_resumed_at = -1.0;
-};
-
-Task<> RemoteCaller(ShardedScheduler& ss, Resource& remote, int from,
-                    int owner, RemoteUseProbe& probe) {
-  co_await RemoteUse(ss, from, owner, remote, /*service_ms=*/2.0);
-  probe.resumed_at = ss.home(from).Now();
-}
-
-Task<> LocalUser(ShardedScheduler& ss, Resource& res, int owner,
-                 RemoteUseProbe& probe) {
-  co_await ss.home(owner).Delay(0.5);
-  co_await res.Use(1.5);
-  probe.local_resumed_at = ss.home(owner).Now();
-}
-
-TEST(RemoteUseTest, RoundTripCostsTwoLookaheadsPlusService) {
-  // Entity 0 on shard 0, entity 1 on shard 1 (and co-located at S=1):
-  // request leg 0.5, service 2.0 on an idle resource, handback leg 0.5 —
-  // the caller must resume at exactly 3.0 for every shard count and mode.
-  for (int shards : {1, 2}) {
-    for (bool parallel : {false, true}) {
-      ShardedScheduler::Options opts;
-      opts.num_shards = shards;
-      opts.num_entities = 2;
-      opts.lookahead_ms = 0.5;
-      opts.parallel = parallel;
-      ShardedScheduler ss(opts);
-      Resource remote(ss.home(1), 1, "remote");
-      RemoteUseProbe probe;
-      ss.home(0).Spawn(RemoteCaller(ss, remote, 0, 1, probe));
-      ss.Run();
-      EXPECT_EQ(probe.resumed_at, 3.0)
-          << "shards=" << shards << " parallel=" << parallel;
-    }
-  }
-}
-
-TEST(RemoteUseTest, QueuesFcfsWithTheOwnersLocalUsers) {
-  // The serve coroutine competes for the owner's resource like any local
-  // user: the local user grabs it at t=0.5 (before the remote request
-  // lands at 1.0 = lookahead) and holds to 2.0, so the remote service runs
-  // [2.0, 4.0] and the handback lands at 5.0.  All values are exactly
-  // representable, so EXPECT_EQ is legitimate; bit-identical across shard
-  // counts and modes.
-  for (int shards : {1, 2}) {
-    for (bool parallel : {false, true}) {
-      ShardedScheduler::Options opts;
-      opts.num_shards = shards;
-      opts.num_entities = 2;
-      opts.lookahead_ms = 1.0;
-      opts.parallel = parallel;
-      ShardedScheduler ss(opts);
-      Resource remote(ss.home(1), 1, "remote");
-      RemoteUseProbe probe;
-      ss.home(0).Spawn(RemoteCaller(ss, remote, 0, 1, probe));
-      ss.home(1).Spawn(LocalUser(ss, remote, 1, probe));
-      ss.Run();
-      EXPECT_EQ(probe.local_resumed_at, 2.0)
-          << "shards=" << shards << " parallel=" << parallel;
-      EXPECT_EQ(probe.resumed_at, 5.0)
-          << "shards=" << shards << " parallel=" << parallel;
-    }
-  }
-}
-
-// --- the shard-confined engine (engine/confined.h) ------------------------
-
-TEST(ConfinedClusterTest, ReportInvariantAcrossShardCountsAndModes) {
-  // The full confined protocol — plan round trips to the control entity,
-  // RemoteUse catalog probes, scan fan-out over per-PE disks, release
-  // rounds, load reports — must produce bit-identical per-entity results
-  // for every shard count (including uneven 9/3 partitions and the
-  // one-entity-per-shard boundary), serial and parallel.
-  ConfinedClusterOptions opt;
-  opt.num_pes = 8;
-  opt.mpl = 2;
-  opt.queries_per_slot = 2;
-  opt.scan_processors = 3;
-  opt.pages_per_fragment = 4;
-  opt.result_tuples = 64;
-  opt.report_rounds = 3;
-  opt.shards = 1;
-  opt.parallel = false;
-  ConfinedClusterReport base = RunConfinedCluster(opt);
-
-  int64_t total_queries = 0;
-  int64_t total_reads = 0;
-  for (const ConfinedPeResult& pe : base.per_pe) {
-    total_queries += pe.queries;
-    total_reads += pe.physical_reads;
-    EXPECT_EQ(pe.queries, opt.mpl * opt.queries_per_slot);
-    EXPECT_EQ(pe.reports_sent, opt.report_rounds);
-    EXPECT_GT(pe.messages_sent, 0);
-  }
-  ASSERT_EQ(total_queries, 8 * opt.mpl * opt.queries_per_slot);
-  EXPECT_EQ(base.control_plans_served, total_queries);
-  EXPECT_EQ(base.control_reports_received,
-            static_cast<int64_t>(8) * opt.report_rounds);
-  EXPECT_GT(total_reads, 0) << "per-PE disks must serve the fragments";
-  EXPECT_GT(base.sim_time_ms, 0.0);
-
-  for (int shards : {2, 3, 4, 9}) {  // 9 = num_pes + control entity
-    for (bool parallel : {false, true}) {
-      opt.shards = shards;
-      opt.parallel = parallel;
-      ConfinedClusterReport got = RunConfinedCluster(opt);
-      EXPECT_TRUE(got.SameSimulationAs(base))
-          << "shards=" << shards << " parallel=" << parallel
-          << " sim_time " << got.sim_time_ms << " vs " << base.sim_time_ms;
-      EXPECT_GT(got.cross_shard_messages, 0u)
-          << "shards=" << shards << " parallel=" << parallel;
-      EXPECT_GT(got.windows, 0u);
-    }
-  }
-}
-
-TEST(ConfinedClusterTest, RerunsAreBitIdentical) {
-  ConfinedClusterOptions opt;
-  opt.num_pes = 6;
-  opt.mpl = 2;
-  opt.queries_per_slot = 2;
-  opt.scan_processors = 2;
-  opt.pages_per_fragment = 2;
-  opt.result_tuples = 32;
-  opt.report_rounds = 2;
-  opt.shards = 3;
-  opt.parallel = true;
-  ConfinedClusterReport a = RunConfinedCluster(opt);
-  ConfinedClusterReport b = RunConfinedCluster(opt);
-  EXPECT_TRUE(a.SameSimulationAs(b));
-  EXPECT_EQ(a.windows, b.windows);
-  EXPECT_EQ(a.cross_shard_messages, b.cross_shard_messages);
-}
-
-TEST(ConfinedClusterTest, PlacementFollowsReportedLoad) {
-  // Sanity that the control entity actually consumes the Post-ed reports:
-  // with disks off and a CPU-light workload, queries spread across
-  // participants rather than all landing on the same k PEs (the view
-  // updates as utilization reports arrive).  This is a liveness check,
-  // not a golden: exact placement is pinned by the invariance tests.
-  ConfinedClusterOptions opt;
-  opt.num_pes = 6;
-  opt.mpl = 1;
-  opt.queries_per_slot = 6;
-  opt.scan_processors = 2;
-  opt.use_disks = false;
-  opt.pages_per_fragment = 0;
-  opt.result_tuples = 256;
-  opt.report_rounds = 5;
-  ConfinedClusterReport r = RunConfinedCluster(opt);
-  int64_t total = 0;
-  for (const ConfinedPeResult& pe : r.per_pe) total += pe.queries;
-  EXPECT_EQ(total, 6 * opt.queries_per_slot);
-  EXPECT_EQ(r.control_reports_received, 6 * opt.report_rounds);
-}
-
-// --- RunUntilWindowed equivalence ----------------------------------------
-
-Task<> TimerLoop(Scheduler& sched, SimTime period, int rounds) {
-  for (int i = 0; i < rounds; ++i) co_await sched.Delay(period);
-}
-
-Task<> UseLoop(Scheduler& sched, Resource& res, SimTime hold, int rounds) {
-  for (int i = 0; i < rounds; ++i) co_await res.Use(hold);
-  (void)sched;
-}
-
-void SpawnMixedWorkload(Scheduler& sched, Resource& res) {
-  for (int i = 0; i < 8; ++i) {
-    sched.Spawn(TimerLoop(sched, 0.9 + 0.07 * i, 50));
-    sched.Spawn(UseLoop(sched, res, 0.4 + 0.05 * i, 50));
-  }
-}
-
-TEST(RunUntilWindowedTest, MatchesRunUntilExactly) {
-  Scheduler plain;
-  Tracer plain_trace(1 << 14);
-  plain.AttachTracer(&plain_trace);
-  Resource plain_res(plain, 2, "cpu", TraceTag(TraceSubsystem::kCpu, 1));
-  SpawnMixedWorkload(plain, plain_res);
-  plain.RunUntil(10.0);
-  plain.RunUntil(31.7);
-
-  Scheduler windowed;
-  Tracer windowed_trace(1 << 14);
-  windowed.AttachTracer(&windowed_trace);
-  Resource windowed_res(windowed, 2, "cpu", TraceTag(TraceSubsystem::kCpu, 1));
-  SpawnMixedWorkload(windowed, windowed_res);
-  RunUntilWindowed(windowed, 10.0, /*lookahead_ms=*/0.1);
-  RunUntilWindowed(windowed, 31.7, /*lookahead_ms=*/0.1);
-
-  EXPECT_EQ(plain.events_processed(), windowed.events_processed());
-  EXPECT_EQ(plain.Now(), windowed.Now());
-  EXPECT_EQ(plain.pending_events(), windowed.pending_events());
-  if (kTraceCompiledIn) {
-    EXPECT_EQ(plain_trace.ToCsv(), windowed_trace.ToCsv())
-        << "windowed pacing must not change the dispatch sequence";
-  }
-}
-
 // --- structured cancellation ----------------------------------------------
+
+Task<> UseLoop(Resource& res, SimTime hold, int rounds) {
+  for (int i = 0; i < rounds; ++i) co_await res.Use(hold);
+}
 
 struct DtorProbe {
   int* counter;
@@ -571,7 +339,7 @@ TEST(StructuredCancellationTest, TeardownDestroysSuspendedFrames) {
     Channel<int> ch(sched);
     Resource res(sched, 1, "cpu");
     sched.Spawn(BlockOnChannel(ch, &destroyed));
-    sched.Spawn(UseLoop(sched, res, 1e9, 1));  // holds the only server
+    sched.Spawn(UseLoop(res, 1e9, 1));  // holds the only server
     sched.Spawn(BlockOnResource(res, &destroyed));
     sched.RunUntil(1.0);
     EXPECT_EQ(sched.detached_in_flight(), 3u);
@@ -597,7 +365,7 @@ TEST(StructuredCancellationTest, DestroyingAParentDestroysItsOwnedChild) {
 TEST(StructuredCancellationTest, CompletedFramesUnregisterThemselves) {
   Scheduler sched;
   Resource res(sched, 4, "cpu");
-  for (int i = 0; i < 16; ++i) sched.Spawn(UseLoop(sched, res, 0.5, 10));
+  for (int i = 0; i < 16; ++i) sched.Spawn(UseLoop(res, 0.5, 10));
   EXPECT_EQ(sched.detached_in_flight(), 16u);
   sched.Run();
   EXPECT_EQ(sched.detached_in_flight(), 0u);

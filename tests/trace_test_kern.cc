@@ -209,73 +209,6 @@ TEST(TraceGoldenTest, TwoShardMessageExchangeMatchesHandCheckedTrace) {
   EXPECT_EQ(wire.packets_sent(), 2);
 }
 
-Task<> ConfinedProtocolDriver(ShardedScheduler& ss, ShardWire& wire,
-                              Resource& remote_cpu, bool* delivered) {
-  // Stage 1: the RemoteUse request/handback pair (the confined executor's
-  // replacement for a direct Use on another entity's resource).
-  co_await RemoteUse(ss, /*from=*/0, /*owner=*/1, remote_cpu,
-                     /*service_ms=*/1.0);
-  // Stage 2: ship a result message whose receiver-side endpoint CPU leg is
-  // charged on the receiving shard (ShardWire::Deliver).
-  wire.Deliver(/*src=*/0, /*dst=*/1, /*bytes=*/100, remote_cpu,
-               /*cpu_ms=*/0.5, [delivered] { *delivered = true; });
-}
-
-TEST(TraceGoldenTest, ConfinedExecutorProtocolMatchesHandCheckedTrace) {
-  if (!kTraceCompiledIn) GTEST_SKIP() << "PDBLB_TRACE=OFF build";
-  // The two message shapes every confined executor interaction reduces to
-  // (engine/confined.cc, docs/sharding.md), pinned at the trace level:
-  // a RemoteUse round trip and a Deliver with a receiver CPU leg.  Two
-  // entities on two shards, serial mode, one-packet messages, 0.1 ms wire
-  // = the lookahead.
-  NetworkConfig net;
-  ShardedScheduler::Options opts;
-  opts.num_shards = 2;
-  opts.num_entities = 2;
-  opts.lookahead_ms = ShardLookaheadMs(net);
-  opts.parallel = false;
-  ShardedScheduler ss(opts);
-  ShardWire wire(ss, net);
-  Tracer trace0(64);
-  Tracer trace1(64);
-  ss.shard(0).AttachTracer(&trace0);
-  ss.shard(1).AttachTracer(&trace1);
-  Resource cpu1(ss.home(1), 1, "cpu1", TraceTag(TraceSubsystem::kCpu, 1));
-  bool delivered = false;
-  ss.home(0).Spawn(ConfinedProtocolDriver(ss, wire, cpu1, &delivered));
-  ss.Run();
-  EXPECT_TRUE(delivered);
-
-  // Hand-checked, shard 0 (entity 0): spawn at t=0 (ring); the caller
-  // suspends immediately — its only further record is the handback landing
-  // at 0.1 (request leg) + 1.0 (service) + 0.1 (handback leg) = 1.2 as a
-  // message-band calendar event tagged network/<owner>.
-  EXPECT_EQ(Records(trace0),
-            (std::vector<std::string>{
-                "0.000/ring/kernel/0",
-                "1.200/calendar/network/1",
-            }));
-  // Shard 1 (entity 1): the request lands at 0.1 (network/0) and its
-  // handler spawns the serve coroutine through the same-time ring; the
-  // idle cpu grants inline and records its end-of-service at 1.1
-  // (calendar, cpu/1).  The Deliver message sent at 1.2 lands at 1.3, its
-  // receive-leg coroutine spawns through the ring and holds the cpu to
-  // 1.8, after which the delivery callback runs.
-  EXPECT_EQ(Records(trace1),
-            (std::vector<std::string>{
-                "0.100/calendar/network/0",
-                "0.100/ring/kernel/0",
-                "1.100/calendar/cpu/1",
-                "1.300/calendar/network/0",
-                "1.300/ring/kernel/0",
-                "1.800/calendar/cpu/1",
-            }));
-
-  // Request, handback, and result delivery all crossed the shard boundary.
-  EXPECT_EQ(ss.cross_shard_messages(), 3u);
-  EXPECT_EQ(wire.messages_sent(), 1);  // RemoteUse legs are raw Posts
-}
-
 TEST(TraceRingTest, WrapAroundKeepsMostRecentRecords) {
   TraceRing ring(64);  // minimum capacity
   EXPECT_EQ(ring.capacity(), 64u);
