@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "engine/cluster.h"
 
 namespace pdblb {
@@ -64,7 +65,9 @@ TEST(DeterminismTest, DifferentSeedsDiffer) {
   EXPECT_NE(ra.join_rt_ms, rb.join_rt_ms);
 }
 
-TEST(DeterminismTest, AllClassesMixed) {
+/// All five query classes at once: joins, scans, updates, multi-way joins
+/// and debit-credit OLTP.
+SystemConfig AllClassesConfig() {
   SystemConfig cfg = SmallConfig();
   cfg.join_query.arrival_rate_per_pe_qps = 0.05;
   cfg.scan_query.enabled = true;
@@ -75,7 +78,69 @@ TEST(DeterminismTest, AllClassesMixed) {
   cfg.multiway_join.arrival_rate_per_pe_qps = 0.02;
   cfg.oltp.enabled = true;
   cfg.oltp.tps_per_node = 20.0;
+  return cfg;
+}
+
+TEST(DeterminismTest, AllClassesMixed) {
+  SystemConfig cfg = AllClassesConfig();
   ExpectIdentical(RunOnce(cfg), RunOnce(cfg));
+}
+
+// Frozen outcome of the all-classes mix.  Every executor's event sequence
+// (start-up and commit fan-outs, local-join set-up, build/probe phases,
+// lock requests) feeds these counts, so a reordered co_await or spawn in
+// any of them moves at least one.  They are golden: update them only for a
+// deliberate change to an executor's behaviour.
+TEST(DeterminismTest, AllClassesMixedIsPinned) {
+  MetricsReport r = RunOnce(AllClassesConfig());
+  EXPECT_EQ(r.kernel_events, 31085);
+  EXPECT_EQ(r.kernel_handoffs, 1127);
+  EXPECT_EQ(r.joins_completed, 2);
+  EXPECT_EQ(r.scans_completed, 2);
+  EXPECT_EQ(r.updates_completed, 3);
+  EXPECT_EQ(r.multiway_completed, 1);
+  EXPECT_EQ(r.oltp_completed, 151);
+  EXPECT_EQ(r.lock_waits, 5);
+  EXPECT_EQ(r.update_aborts, 0);
+}
+
+// A longer, busier all-classes mix under strict 2PL and the fault
+// supervisor: a crash and recovery cancel resident attempts of every class
+// mid-flight, and a deadline times some of them out.  After the drain no
+// admission slot, buffer reservation or memory-queue entry may survive at
+// any PE (the conservation checks of tests/chaos_test.cc).  The retry,
+// timeout and event counts are golden, like the pin above.
+TEST(DeterminismTest, SupervisedAllClassesUnder2plConserveResources) {
+  SystemConfig cfg = AllClassesConfig();
+  cfg.measurement_ms = 16000.0;
+  cfg.join_query.arrival_rate_per_pe_qps = 0.1;
+  cfg.scan_query.arrival_rate_per_pe_qps = 0.1;
+  cfg.update_query.arrival_rate_per_pe_qps = 0.1;
+  cfg.multiway_join.arrival_rate_per_pe_qps = 0.05;
+  cfg.cc_scheme = CcScheme::kTwoPhaseLocking;
+  ASSERT_TRUE(
+      ParseFaultSpec("crash@6000:pe3;recover@9000:pe3;timeout=4000",
+                     &cfg.faults)
+          .ok());
+  Cluster cluster(cfg);
+  MetricsReport r = cluster.Run();
+  EXPECT_EQ(r.pe_crashes, 1);
+  EXPECT_EQ(r.pe_recoveries, 1);
+  EXPECT_GT(r.joins_completed, 0);
+  EXPECT_GT(r.scans_completed, 0);
+  EXPECT_GT(r.updates_completed, 0);
+  EXPECT_GT(r.multiway_completed, 0);
+  EXPECT_GT(r.oltp_completed, 0);
+  EXPECT_EQ(r.queries_retried, 24);
+  EXPECT_EQ(r.queries_timed_out, 1);
+  EXPECT_EQ(r.kernel_events, 206678);
+  for (PeId pe = 0; pe < cfg.num_pes; ++pe) {
+    EXPECT_EQ(cluster.pe(pe).admission().busy(), 0) << "pe " << pe;
+    EXPECT_EQ(cluster.pe(pe).admission().queue_length(), 0u) << "pe " << pe;
+    EXPECT_EQ(cluster.pe(pe).buffer().reserved(), 0) << "pe " << pe;
+    EXPECT_EQ(cluster.pe(pe).buffer().memory_queue_length(), 0u)
+        << "pe " << pe;
+  }
 }
 
 TEST(DeterminismTest, SharedDiskArchitecture) {
