@@ -171,51 +171,14 @@ void Cluster::SpawnBackground() {
   sched_.Spawn(deadlock_detector_->Run());
 }
 
-void Cluster::SpawnJoin() {
+template <typename Exec, typename... Args>
+sim::Task<> Cluster::Query(Exec exec, Args... args) {
   if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise(
-        [this](QueryAttempt* qa) { return ExecuteJoinQuery(*this, qa); }));
-  } else {
-    sched_.Spawn(ExecuteJoinQuery(*this));
+    return faults_->Supervise([this, exec, args...](QueryAttempt* qa) {
+      return exec(*this, args..., qa);
+    });
   }
-}
-
-void Cluster::SpawnScan() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise(
-        [this](QueryAttempt* qa) { return ExecuteScanQuery(*this, qa); }));
-  } else {
-    sched_.Spawn(ExecuteScanQuery(*this));
-  }
-}
-
-void Cluster::SpawnUpdate() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise(
-        [this](QueryAttempt* qa) { return ExecuteUpdateQuery(*this, qa); }));
-  } else {
-    sched_.Spawn(ExecuteUpdateQuery(*this));
-  }
-}
-
-void Cluster::SpawnMultiway() {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise([this](QueryAttempt* qa) {
-      return ExecuteMultiwayJoinQuery(*this, qa);
-    }));
-  } else {
-    sched_.Spawn(ExecuteMultiwayJoinQuery(*this));
-  }
-}
-
-void Cluster::SpawnOltp(PeId node) {
-  if (config_.faults.Enabled()) {
-    sched_.Spawn(faults_->Supervise([this, node](QueryAttempt* qa) {
-      return ExecuteOltpTransaction(*this, node, qa);
-    }));
-  } else {
-    sched_.Spawn(ExecuteOltpTransaction(*this, node));
-  }
+  return exec(*this, args..., nullptr);
 }
 
 void Cluster::SpawnOpenWorkload() {
@@ -225,23 +188,23 @@ void Cluster::SpawnOpenWorkload() {
         sched_, std::move(*trace_), [this](const TraceEvent& event) {
           switch (event.cls) {
             case TraceClass::kJoin:
-              SpawnJoin();
+              sched_.Spawn(Query(ExecuteJoinQuery));
               break;
             case TraceClass::kScan:
-              SpawnScan();
+              sched_.Spawn(Query(ExecuteScanQuery));
               break;
             case TraceClass::kUpdate:
-              SpawnUpdate();
+              sched_.Spawn(Query(ExecuteUpdateQuery));
               break;
             case TraceClass::kMultiwayJoin:
-              SpawnMultiway();
+              sched_.Spawn(Query(ExecuteMultiwayJoinQuery));
               break;
             case TraceClass::kOltp: {
               PeId node = std::min<PeId>(event.oltp_node, config_.num_pes - 1);
               // OLTP events need the node's private relation; traces with
               // OLTP require oltp.enabled so the schema includes them.
               if (db_->oltp_relation(node) != nullptr) {
-                SpawnOltp(node);
+                sched_.Spawn(Query(ExecuteOltpTransaction, node));
               }
               break;
             }
@@ -253,35 +216,41 @@ void Cluster::SpawnOpenWorkload() {
   if (config_.join_query.arrival_rate_per_pe_qps > 0.0) {
     double rate = config_.join_query.arrival_rate_per_pe_qps *
                   static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(10), rate,
-                                 [this](int64_t) { SpawnJoin(); }));
+    sched_.Spawn(PoissonArrivals(
+        sched_, arrival_rng_.Fork(10), rate,
+        [this](int64_t) { sched_.Spawn(Query(ExecuteJoinQuery)); }));
   }
   if (config_.scan_query.enabled &&
       config_.scan_query.arrival_rate_per_pe_qps > 0.0) {
     double rate = config_.scan_query.arrival_rate_per_pe_qps *
                   static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(20), rate,
-                                 [this](int64_t) { SpawnScan(); }));
+    sched_.Spawn(PoissonArrivals(
+        sched_, arrival_rng_.Fork(20), rate,
+        [this](int64_t) { sched_.Spawn(Query(ExecuteScanQuery)); }));
   }
   if (config_.update_query.enabled &&
       config_.update_query.arrival_rate_per_pe_qps > 0.0) {
     double rate = config_.update_query.arrival_rate_per_pe_qps *
                   static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(30), rate,
-                                 [this](int64_t) { SpawnUpdate(); }));
+    sched_.Spawn(PoissonArrivals(
+        sched_, arrival_rng_.Fork(30), rate,
+        [this](int64_t) { sched_.Spawn(Query(ExecuteUpdateQuery)); }));
   }
   if (config_.multiway_join.enabled &&
       config_.multiway_join.arrival_rate_per_pe_qps > 0.0) {
     double rate = config_.multiway_join.arrival_rate_per_pe_qps *
                   static_cast<double>(config_.num_pes);
-    sched_.Spawn(PoissonArrivals(sched_, arrival_rng_.Fork(40), rate,
-                                 [this](int64_t) { SpawnMultiway(); }));
+    sched_.Spawn(PoissonArrivals(
+        sched_, arrival_rng_.Fork(40), rate,
+        [this](int64_t) { sched_.Spawn(Query(ExecuteMultiwayJoinQuery)); }));
   }
   if (config_.oltp.enabled) {
     for (PeId node : db_->oltp_nodes()) {
       sched_.Spawn(PoissonArrivals(
           sched_, arrival_rng_.Fork(1000 + node), config_.oltp.tps_per_node,
-          [this, node](int64_t) { SpawnOltp(node); }));
+          [this, node](int64_t) {
+            sched_.Spawn(Query(ExecuteOltpTransaction, node));
+          }));
     }
   }
 }
@@ -387,14 +356,7 @@ MetricsReport Cluster::Run() {
     bool done = false;
     sched_.Spawn(ClosedLoop(
         config_.single_user_queries,
-        [this](int64_t) -> sim::Task<> {
-          if (config_.faults.Enabled()) {
-            return faults_->Supervise([this](QueryAttempt* qa) {
-              return ExecuteJoinQuery(*this, qa);
-            });
-          }
-          return ExecuteJoinQuery(*this);
-        },
+        [this](int64_t) { return Query(ExecuteJoinQuery); },
         &done));
     while (!done && sched_.pending_events() > 0) {
       sched_.RunUntil(sched_.Now() + 60000.0);

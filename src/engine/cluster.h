@@ -91,6 +91,17 @@ class Cluster {
   PeId OwnerOf(int32_t relation_id, PeId home) const {
     return ownership_.Owner(relation_id, home);
   }
+  /// Current owners of the fragments of `relation_id` homed at `homes`, in
+  /// order: where executors route the fragments' processing, while page
+  /// keys and lock sites stay at the homes.
+  std::vector<PeId> OwnersOf(int32_t relation_id,
+                             const std::vector<PeId>& homes) const {
+    std::vector<PeId> owners(homes);
+    if (elastic_ != nullptr) {
+      for (PeId& pe : owners) pe = OwnerOf(relation_id, pe);
+    }
+    return owners;
+  }
   /// Routes a drawn coordinator PE to the nearest member (linear probe
   /// upward, wrapping).  Identity when elastic resize is not configured —
   /// the draw itself is always made, so the workload RNG stream is
@@ -127,14 +138,12 @@ class Cluster {
  private:
   void SpawnBackground();
   void SpawnOpenWorkload();
-  // Spawn one query of the given class, routed through the fault
-  // supervisor when SystemConfig::faults is enabled (direct spawn
-  // otherwise, preserving the fault-free event and RNG streams).
-  void SpawnJoin();
-  void SpawnScan();
-  void SpawnUpdate();
-  void SpawnMultiway();
-  void SpawnOltp(PeId node);
+  // One query of any class: `exec(*this, args..., qa)` run through the
+  // fault supervisor when SystemConfig::faults is enabled, or called
+  // directly with qa == nullptr otherwise (preserving the fault-free event
+  // and RNG streams).
+  template <typename Exec, typename... Args>
+  sim::Task<> Query(Exec exec, Args... args);
   sim::Task<> ControlReportLoop();
   void ReportAllPes(SimTime window_ms);
   void ResetStatistics();

@@ -2,55 +2,18 @@
 
 #include "engine/join_executor.h"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "core/skew.h"
 #include "engine/faults.h"
 #include "engine/parop.h"
-#include "join/local_join.h"
-#include "simkern/task_group.h"
 
 namespace pdblb {
-namespace {
 
-using parop::Batch;
-using parop::BatchChannel;
-using parop::CommitRound;
-using parop::DeliverControl;
-using parop::ScanRedistribute;
 using parop::SplitEvenly;
 using parop::UseCpu;
-
-/// Join-processor side of the building phase.  Memory was already acquired
-/// by the coordinator (in global PE order, which avoids hold-and-wait
-/// deadlocks between concurrent joins on small buffers).
-sim::Task<> BuildConsumer(Cluster& c, LocalJoin* join, BatchChannel* channel) {
-  (void)c;
-  while (auto batch = co_await channel->Receive()) {
-    co_await join->InsertInnerBatch(batch->tuples);
-  }
-}
-
-/// Join-processor side of the probing phase, including the deferred joins of
-/// disk-resident partitions and the result transfer to the coordinator.
-sim::Task<> ProbeConsumer(Cluster& c, LocalJoin* join, BatchChannel* channel,
-                          PeId join_pe, PeId coord, int64_t result_tuples,
-                          int tuple_size) {
-  while (auto batch = co_await channel->Receive()) {
-    co_await join->ProbeBatch(batch->tuples);
-  }
-  co_await join->CompleteProbe();
-  co_await UseCpu(c, join_pe,
-                  result_tuples * c.config().costs.write_output_tuple);
-  co_await c.net().Transfer(join_pe, coord, result_tuples * tuple_size);
-  join->Release();
-}
-
-}  // namespace
 
 sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
   sim::Scheduler& sched = c.sched();
@@ -92,12 +55,13 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
 
   // All PEs that take part in this query: scan processors and join
   // processors.  Under Shared Nothing the data allocation prescribes the
-  // scan placement; under Shared Disk ([27]) any PE can scan any fragment,
-  // so the least CPU-utilized PEs are picked as scan processors.
+  // scan placement (each fragment's current owner); under Shared Disk
+  // ([27]) any PE can scan any fragment, so the least CPU-utilized PEs are
+  // picked as scan processors.
   const std::vector<PeId>& a_nodes = c.db().a_nodes();
   const std::vector<PeId>& b_nodes = c.db().b_nodes();
-  std::vector<PeId> a_exec(a_nodes);
-  std::vector<PeId> b_exec(b_nodes);
+  std::vector<PeId> a_exec = c.OwnersOf(c.db().a().id(), a_nodes);
+  std::vector<PeId> b_exec = c.OwnersOf(c.db().b().id(), b_nodes);
   if (cfg.architecture == Architecture::kSharedDisk) {
     std::vector<PeLoadInfo> by_cpu = c.control().CpuSorted();
     for (size_t i = 0; i < a_exec.size(); ++i) {
@@ -106,32 +70,22 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
     for (size_t i = 0; i < b_exec.size(); ++i) {
       b_exec[i] = by_cpu[i % by_cpu.size()].pe;
     }
-  } else if (c.elastic_enabled()) {
-    // Shared Nothing with elastic resize: each fragment is scanned by its
-    // current owner (== home until a migration moved it).
-    for (size_t i = 0; i < a_exec.size(); ++i) {
-      a_exec[i] = c.OwnerOf(c.db().a().id(), a_nodes[i]);
-    }
-    for (size_t i = 0; i < b_exec.size(); ++i) {
-      b_exec[i] = c.OwnerOf(c.db().b().id(), b_nodes[i]);
-    }
   }
-  std::set<PeId> participants(a_exec.begin(), a_exec.end());
-  participants.insert(b_exec.begin(), b_exec.end());
+  std::set<PeId> participant_set(a_exec.begin(), a_exec.end());
+  participant_set.insert(b_exec.begin(), b_exec.end());
   if (!c.elastic_enabled()) {
     // The homes are the scan sites (Shared Nothing) or the lock sites whose
     // liveness the query needs (Shared Disk).  Under elastic resize a home
     // may be a drained (even dead) PE whose fragment now lives elsewhere —
     // only the owners above actually serve the query, so only those gate
     // its fate.
-    participants.insert(a_nodes.begin(), a_nodes.end());
-    participants.insert(b_nodes.begin(), b_nodes.end());
+    participant_set.insert(a_nodes.begin(), a_nodes.end());
+    participant_set.insert(b_nodes.begin(), b_nodes.end());
   }
-  participants.insert(plan.pes.begin(), plan.pes.end());
-  if (qa != nullptr &&
-      !qa->AddParticipants({participants.begin(), participants.end()})) {
-    co_return;
-  }
+  participant_set.insert(plan.pes.begin(), plan.pes.end());
+  const std::vector<PeId> participants(participant_set.begin(),
+                                       participant_set.end());
+  if (qa != nullptr && !qa->AddParticipants(participants)) co_return;
   for (PeId pe : participants) read_locks.AddPe(pe);
   if (c.elastic_enabled()) {
     // Read locks are taken at the homes' lock managers regardless of who
@@ -140,17 +94,7 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
     for (PeId pe : b_nodes) read_locks.AddPe(pe);
   }
 
-  // Start the subqueries: the coordinator serializes its send costs, the
-  // deliveries run in parallel.
-  {
-    sim::TaskGroup startup(sched);
-    for (PeId dest : participants) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      startup.Spawn(DeliverControl(c, dest));
-    }
-    co_await startup.Wait();
-  }
+  co_await parop::StartSubqueries(c, coord, participants);
 
   // One local join instance per join processor.  The partitioning function's
   // per-destination fractions are uniform in the paper's base setting; with
@@ -158,7 +102,6 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
   // of partitions to the selected PEs is either size-aware (largest subjoin
   // to the best PE — the planner returns PEs in goodness order) or random
   // (a size-oblivious hash partitioner).
-  const int tuple_size = cfg.relation_a.tuple_size_bytes;
   const int64_t inner_total = cfg.InnerInputTuples();
   const int64_t outer_total = cfg.OuterInputTuples();
   const int64_t result_total = static_cast<int64_t>(
@@ -167,143 +110,65 @@ sim::Task<> ExecuteJoinQuery(Cluster& c, QueryAttempt* qa) {
   // With no skew all weights are equal and the assignment is a no-op; skip
   // the permutation so the RNG stream (and thus the base experiments) is
   // untouched.
-  std::vector<double> dest_frac =
+  const std::vector<double> dest_frac =
       theta > 0.0 ? AssignWeights(ZipfWeights(p, theta),
                                   cfg.strategy.skew_aware_assignment,
                                   c.workload_rng())
                   : ZipfWeights(p, 0.0);
+  parop::JoinStage stage{coord, plan.pes, dest_frac,
+                         SplitWeighted(result_total, dest_frac), {}};
   std::vector<int64_t> inner_share = SplitWeighted(inner_total, dest_frac);
-  std::vector<int64_t> outer_share = SplitWeighted(outer_total, dest_frac);
-  std::vector<int64_t> result_share = SplitWeighted(result_total, dest_frac);
-
-  std::vector<std::unique_ptr<LocalJoin>> joins;
-  joins.reserve(p);
-  for (int j = 0; j < p; ++j) {
-    LocalJoinParams params;
-    params.temp_relation_id = c.NextTempRelationId();
-    params.expected_inner_tuples = inner_share[j];
-    params.expected_outer_tuples = outer_share[j];
-    params.blocking_factor = cfg.relation_a.blocking_factor;
-    params.fudge_factor = cfg.join_query.fudge_factor;
-    params.want_pages = plan.pages_per_pe;
-    if (theta > 0.0) {
-      // Skewed subjoins need working space proportional to their share; the
-      // control node's uniform estimate is corrected so back-to-back joins
-      // do not stack their dominant partitions on the same PE.
-      const int bf = cfg.relation_a.blocking_factor;
+  std::vector<int> want_pages(p, plan.pages_per_pe);
+  if (theta > 0.0) {
+    // Skewed subjoins need working space proportional to their share; the
+    // control node's uniform estimate is corrected so back-to-back joins
+    // do not stack their dominant partitions on the same PE.
+    const int bf = cfg.relation_a.blocking_factor;
+    for (int j = 0; j < p; ++j) {
       int64_t share_pages = (inner_share[j] + bf - 1) / bf;
-      params.want_pages = static_cast<int>(std::llround(
-          std::ceil(cfg.join_query.fudge_factor *
-                    static_cast<double>(share_pages))));
+      want_pages[j] = static_cast<int>(std::llround(std::ceil(
+          cfg.join_query.fudge_factor * static_cast<double>(share_pages))));
       c.control().NoteSubjoinSize(plan.pes[j],
-                                  params.want_pages - plan.pages_per_pe,
+                                  want_pages[j] - plan.pages_per_pe,
                                   dest_frac[j] * static_cast<double>(p));
     }
-    params.write_batch_pages = cfg.disk.prefetch_pages;
-    params.opportunistic_growth = cfg.pphj_opportunistic_growth;
-    PeId jp = plan.pes[j];
-    joins.push_back(CreateLocalJoin(cfg.local_join_method, sched,
-                                    c.pe(jp).buffer(), c.pe(jp).disks(),
-                                    c.pe(jp).cpu(), costs, cfg.mips_per_pe,
-                                    params));
   }
+  stage.joins = co_await parop::SetUpLocalJoins(
+      c, plan.pes, inner_share, SplitWeighted(outer_total, dest_frac),
+      want_pages);
 
-  // Acquire working space at every join processor before the build starts.
-  // Acquisition follows ascending PE id (a global resource order), so
-  // concurrent joins cannot deadlock on each other's memory queues even
-  // when one query's hash table spans a large share of the cluster memory.
-  {
-    std::vector<int> order(p);
-    for (int j = 0; j < p; ++j) order[j] = j;
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return plan.pes[a] < plan.pes[b]; });
-    SimTime queued_at = sched.Now();
-    for (int j : order) {
-      co_await joins[j]->AcquireMemory();
-    }
-    c.metrics().RecordMemoryQueueWait(sched.Now() - queued_at, sched.Now());
-  }
+  // Building phase: scan A, redistribute, build hash tables.  Probing phase:
+  // scan B, redistribute, probe, ship the results to the coordinator.
+  const parop::PhaseInput scan_a{
+      &c.db().a(), a_nodes, a_exec,
+      SplitEvenly(inner_total, static_cast<int>(a_nodes.size())), read_txn};
+  const parop::PhaseInput scan_b{
+      &c.db().b(), b_nodes, b_exec,
+      SplitEvenly(outer_total, static_cast<int>(b_nodes.size())), read_txn};
+  co_await parop::RunPhase(c, stage, scan_a, parop::Consume::kBuild);
+  co_await parop::RunPhase(c, stage, scan_b,
+                           parop::Consume::kProbeShipResult);
 
-  // --- building phase: scan A, redistribute, build hash tables -----------
-  {
-    std::vector<std::unique_ptr<BatchChannel>> channels;
-    for (int j = 0; j < p; ++j) {
-      channels.push_back(std::make_unique<BatchChannel>(sched));
+  // Distributed commit with the read-only optimization (one round), which
+  // also releases the read locks at the scan processors.
+  co_await parop::Commit(c, coord, participants,
+                         parop::CommitProtocol::kReadOnly);
+  if (read_txn != 0) {
+    for (PeId dest : participants) c.pe(dest).locks().ReleaseAll(read_txn);
+    if (c.elastic_enabled()) {
+      // Locks live at the homes' lock managers, which under elastic
+      // resize may not be participants (drained homes).
+      for (PeId pe : a_nodes) c.pe(pe).locks().ReleaseAll(read_txn);
+      for (PeId pe : b_nodes) c.pe(pe).locks().ReleaseAll(read_txn);
     }
-    sim::TaskGroup consumers(sched);
-    for (int j = 0; j < p; ++j) {
-      consumers.Spawn(BuildConsumer(c, joins[j].get(), channels[j].get()));
-    }
-    sim::TaskGroup scans(sched);
-    sim::TaskGroup sends(sched);
-    std::vector<int64_t> node_share =
-        SplitEvenly(inner_total, static_cast<int>(a_nodes.size()));
-    for (size_t i = 0; i < a_nodes.size(); ++i) {
-      scans.Spawn(ScanRedistribute(c, a_exec[i], c.db().a(), node_share[i],
-                                   plan.pes, dest_frac, channels, sends,
-                                   read_txn, a_nodes[i]));
-    }
-    co_await scans.Wait();
-    co_await sends.Wait();
-    for (auto& ch : channels) ch->Close();
-    co_await consumers.Wait();
   }
-
-  // --- probing phase: scan B, redistribute, probe, merge results ---------
-  {
-    std::vector<std::unique_ptr<BatchChannel>> channels;
-    for (int j = 0; j < p; ++j) {
-      channels.push_back(std::make_unique<BatchChannel>(sched));
-    }
-    sim::TaskGroup consumers(sched);
-    for (int j = 0; j < p; ++j) {
-      consumers.Spawn(ProbeConsumer(c, joins[j].get(), channels[j].get(),
-                                    plan.pes[j], coord, result_share[j],
-                                    tuple_size));
-    }
-    sim::TaskGroup scans(sched);
-    sim::TaskGroup sends(sched);
-    std::vector<int64_t> node_share =
-        SplitEvenly(outer_total, static_cast<int>(b_nodes.size()));
-    for (size_t i = 0; i < b_nodes.size(); ++i) {
-      scans.Spawn(ScanRedistribute(c, b_exec[i], c.db().b(), node_share[i],
-                                   plan.pes, dest_frac, channels, sends,
-                                   read_txn, b_nodes[i]));
-    }
-    co_await scans.Wait();
-    co_await sends.Wait();
-    for (auto& ch : channels) ch->Close();
-    co_await consumers.Wait();
-  }
-
-  // --- distributed commit with the read-only optimization (one round) ----
-  // The single commit round also releases the read locks at the scan
-  // processors (the paper's read-only optimization).
-  {
-    sim::TaskGroup commits(sched);
-    for (PeId dest : participants) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      commits.Spawn(CommitRound(c, coord, dest));
-    }
-    co_await commits.Wait();
-    if (read_txn != 0) {
-      for (PeId dest : participants) c.pe(dest).locks().ReleaseAll(read_txn);
-      if (c.elastic_enabled()) {
-        // Locks live at the homes' lock managers, which under elastic
-        // resize may not be participants (drained homes).
-        for (PeId pe : a_nodes) c.pe(pe).locks().ReleaseAll(read_txn);
-        for (PeId pe : b_nodes) c.pe(pe).locks().ReleaseAll(read_txn);
-      }
-    }
-    read_locks.Disarm();
-  }
+  read_locks.Disarm();
   co_await UseCpu(c, coord, costs.terminate_txn);
   admission.ReleaseNow();
 
   int64_t temp_written = 0;
   int64_t temp_read = 0;
-  for (const auto& j : joins) {
+  for (const auto& j : stage.joins) {
     temp_written += j->temp_pages_written();
     temp_read += j->temp_pages_read();
   }

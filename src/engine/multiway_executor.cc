@@ -4,52 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "core/skew.h"
 #include "engine/faults.h"
 #include "engine/parop.h"
-#include "join/local_join.h"
-#include "simkern/task_group.h"
 
 namespace pdblb {
-namespace {
 
-using parop::BatchChannel;
-using parop::CommitRound;
-using parop::DeliverControl;
-using parop::Redistribute;
-using parop::ScanRedistribute;
 using parop::SplitEvenly;
 using parop::UseCpu;
-
-sim::Task<> BuildConsumer(LocalJoin* join, BatchChannel* channel) {
-  while (auto batch = co_await channel->Receive()) {
-    co_await join->InsertInnerBatch(batch->tuples);
-  }
-}
-
-/// Probing consumer for one stage.  Intermediate stages keep their result at
-/// the join processor (it becomes the next stage's inner source); the final
-/// stage ships it to the coordinator.
-sim::Task<> ProbeConsumer(Cluster& c, LocalJoin* join, BatchChannel* channel,
-                          PeId join_pe, PeId coord, int64_t result_tuples,
-                          int tuple_size, bool final_stage) {
-  while (auto batch = co_await channel->Receive()) {
-    co_await join->ProbeBatch(batch->tuples);
-  }
-  co_await join->CompleteProbe();
-  co_await UseCpu(c, join_pe,
-                  result_tuples * c.config().costs.write_output_tuple);
-  if (final_stage && join_pe != coord && result_tuples > 0) {
-    co_await c.net().Transfer(join_pe, coord, result_tuples * tuple_size);
-  }
-  join->Release();
-}
-
-}  // namespace
 
 sim::Task<> ExecuteMultiwayJoinQuery(Cluster& c, QueryAttempt* qa) {
   sim::Scheduler& sched = c.sched();
@@ -57,7 +22,6 @@ sim::Task<> ExecuteMultiwayJoinQuery(Cluster& c, QueryAttempt* qa) {
   const CpuCosts& costs = cfg.costs;
   const SimTime t0 = sched.Now();
   const int stages = cfg.multiway_join.ways - 1;
-  const int tuple_size = cfg.relation_a.tuple_size_bytes;
 
   // The draw is always made so the workload RNG stream is identical between
   // elastic and resize-free runs; MemberPe is the identity without elastic.
@@ -83,9 +47,9 @@ sim::Task<> ExecuteMultiwayJoinQuery(Cluster& c, QueryAttempt* qa) {
   int64_t inner_total = cfg.InnerInputTuples();
   std::set<PeId> all_participants;
 
-  for (int stage = 1; stage <= stages; ++stage) {
-    const bool first = stage == 1;
-    const bool final_stage = stage == stages;
+  for (int k = 1; k <= stages; ++k) {
+    const bool first = k == 1;
+    const bool final_stage = k == stages;
 
     // Outer input: relation B for stage 1, relation C afterwards.
     const Relation& outer_rel = first ? c.db().b() : c.db().c();
@@ -117,158 +81,65 @@ sim::Task<> ExecuteMultiwayJoinQuery(Cluster& c, QueryAttempt* qa) {
 
     // Base-relation fragments execute at their current owner; under elastic
     // resize that can differ from the declustering home (catalog/ownership.h).
-    std::vector<PeId> outer_exec(outer_nodes);
-    std::vector<PeId> a_exec;
-    if (first) {
-      a_exec.assign(c.db().a_nodes().begin(), c.db().a_nodes().end());
-    }
-    if (c.elastic_enabled()) {
-      for (size_t i = 0; i < outer_exec.size(); ++i) {
-        outer_exec[i] = c.OwnerOf(outer_rel.id(), outer_nodes[i]);
-      }
-      for (size_t i = 0; i < a_exec.size(); ++i) {
-        a_exec[i] = c.OwnerOf(c.db().a().id(), a_exec[i]);
-      }
-    }
+    const std::vector<PeId> outer_exec =
+        c.OwnersOf(outer_rel.id(), outer_nodes);
+    const std::vector<PeId> a_exec =
+        first ? c.OwnersOf(c.db().a().id(), c.db().a_nodes())
+              : std::vector<PeId>();
 
     // This stage's participants: inner sources, outer scan nodes, join PEs.
     // Owners (not homes) participate: a fragment migrated off a drained PE
     // must stay queryable after that PE dies.
-    std::set<PeId> participants(outer_exec.begin(), outer_exec.end());
+    std::set<PeId> participant_set(outer_exec.begin(), outer_exec.end());
     if (first) {
-      participants.insert(a_exec.begin(), a_exec.end());
+      participant_set.insert(a_exec.begin(), a_exec.end());
     } else {
-      participants.insert(result_pes.begin(), result_pes.end());
+      participant_set.insert(result_pes.begin(), result_pes.end());
     }
-    participants.insert(plan.pes.begin(), plan.pes.end());
-    if (qa != nullptr &&
-        !qa->AddParticipants({participants.begin(), participants.end()})) {
-      co_return;
-    }
-    {
-      sim::TaskGroup startup(sched);
-      for (PeId dest : participants) {
-        if (dest == coord) continue;
-        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-        startup.Spawn(DeliverControl(c, dest));
-      }
-      co_await startup.Wait();
-    }
+    participant_set.insert(plan.pes.begin(), plan.pes.end());
+    const std::vector<PeId> participants(participant_set.begin(),
+                                         participant_set.end());
+    if (qa != nullptr && !qa->AddParticipants(participants)) co_return;
+    co_await parop::StartSubqueries(c, coord, participants);
     all_participants.insert(participants.begin(), participants.end());
 
     // Local joins for this stage (uniform partitioning).
-    std::vector<double> dest_frac = ZipfWeights(p, 0.0);
-    std::vector<int64_t> inner_share = SplitWeighted(inner_total, dest_frac);
-    std::vector<int64_t> outer_share = SplitWeighted(outer_total, dest_frac);
-    std::vector<int64_t> result_share = SplitWeighted(result_total, dest_frac);
-    std::vector<std::unique_ptr<LocalJoin>> joins;
-    joins.reserve(p);
-    for (int j = 0; j < p; ++j) {
-      LocalJoinParams params;
-      params.temp_relation_id = c.NextTempRelationId();
-      params.expected_inner_tuples = inner_share[j];
-      params.expected_outer_tuples = outer_share[j];
-      params.blocking_factor = cfg.relation_a.blocking_factor;
-      params.fudge_factor = cfg.join_query.fudge_factor;
-      params.want_pages = plan.pages_per_pe;
-      params.write_batch_pages = cfg.disk.prefetch_pages;
-      params.opportunistic_growth = cfg.pphj_opportunistic_growth;
-      PeId jp = plan.pes[j];
-      joins.push_back(CreateLocalJoin(cfg.local_join_method, sched,
-                                      c.pe(jp).buffer(), c.pe(jp).disks(),
-                                      c.pe(jp).cpu(), costs, cfg.mips_per_pe,
-                                      params));
-    }
-    {
-      std::vector<int> order(p);
-      for (int j = 0; j < p; ++j) order[j] = j;
-      std::sort(order.begin(), order.end(),
-                [&](int a, int b) { return plan.pes[a] < plan.pes[b]; });
-      SimTime queued_at = sched.Now();
-      for (int j : order) co_await joins[j]->AcquireMemory();
-      c.metrics().RecordMemoryQueueWait(sched.Now() - queued_at, sched.Now());
-    }
+    const std::vector<double> dest_frac = ZipfWeights(p, 0.0);
+    parop::JoinStage stage{coord, plan.pes, dest_frac,
+                           SplitWeighted(result_total, dest_frac), {}};
+    stage.joins = co_await parop::SetUpLocalJoins(
+        c, plan.pes, SplitWeighted(inner_total, dest_frac),
+        SplitWeighted(outer_total, dest_frac),
+        std::vector<int>(p, plan.pages_per_pe));
 
     // Building phase: inner from the A scan (stage 1) or from the previous
-    // stage's result processors.
-    {
-      std::vector<std::unique_ptr<BatchChannel>> channels;
-      for (int j = 0; j < p; ++j) {
-        channels.push_back(std::make_unique<BatchChannel>(sched));
-      }
-      sim::TaskGroup consumers(sched);
-      for (int j = 0; j < p; ++j) {
-        consumers.Spawn(BuildConsumer(joins[j].get(), channels[j].get()));
-      }
-      sim::TaskGroup sources(sched);
-      sim::TaskGroup sends(sched);
-      if (first) {
-        const std::vector<PeId>& a_nodes = c.db().a_nodes();
-        std::vector<int64_t> node_share =
-            SplitEvenly(inner_total, static_cast<int>(a_nodes.size()));
-        for (size_t i = 0; i < a_nodes.size(); ++i) {
-          sources.Spawn(ScanRedistribute(c, a_exec[i], c.db().a(),
-                                         node_share[i], plan.pes, dest_frac,
-                                         channels, sends, /*read_lock_txn=*/0,
-                                         /*fragment_owner=*/a_nodes[i]));
-        }
-      } else {
-        for (size_t i = 0; i < result_pes.size(); ++i) {
-          sources.Spawn(Redistribute(c, result_pes[i], result_at[i],
-                                     tuple_size, plan.pes, dest_frac,
-                                     channels, sends));
-        }
-      }
-      co_await sources.Wait();
-      co_await sends.Wait();
-      for (auto& ch : channels) ch->Close();
-      co_await consumers.Wait();
-    }
-
-    // Probing phase: outer scanned from B (stage 1) or C.
-    {
-      std::vector<std::unique_ptr<BatchChannel>> channels;
-      for (int j = 0; j < p; ++j) {
-        channels.push_back(std::make_unique<BatchChannel>(sched));
-      }
-      sim::TaskGroup consumers(sched);
-      for (int j = 0; j < p; ++j) {
-        consumers.Spawn(ProbeConsumer(c, joins[j].get(), channels[j].get(),
-                                      plan.pes[j], coord, result_share[j],
-                                      tuple_size, final_stage));
-      }
-      sim::TaskGroup scans(sched);
-      sim::TaskGroup sends(sched);
-      std::vector<int64_t> node_share =
-          SplitEvenly(outer_total, static_cast<int>(outer_nodes.size()));
-      for (size_t i = 0; i < outer_nodes.size(); ++i) {
-        scans.Spawn(ScanRedistribute(c, outer_exec[i], outer_rel,
-                                     node_share[i], plan.pes, dest_frac,
-                                     channels, sends, /*read_lock_txn=*/0,
-                                     /*fragment_owner=*/outer_nodes[i]));
-      }
-      co_await scans.Wait();
-      co_await sends.Wait();
-      for (auto& ch : channels) ch->Close();
-      co_await consumers.Wait();
-    }
+    // stage's result processors.  Probing phase: outer scanned from B
+    // (stage 1) or C; only the final stage ships its result.
+    const parop::PhaseInput inner =
+        first ? parop::PhaseInput{&c.db().a(), c.db().a_nodes(), a_exec,
+                                  SplitEvenly(inner_total,
+                                              static_cast<int>(a_exec.size())),
+                                  0}
+              : parop::PhaseInput{nullptr, {}, result_pes, result_at, 0};
+    const parop::PhaseInput outer{
+        &outer_rel, outer_nodes, outer_exec,
+        SplitEvenly(outer_total, static_cast<int>(outer_nodes.size())), 0};
+    co_await parop::RunPhase(c, stage, inner, parop::Consume::kBuild);
+    co_await parop::RunPhase(c, stage, outer,
+                             final_stage ? parop::Consume::kProbeShipNonEmpty
+                                         : parop::Consume::kProbeKeepResult);
 
     // The result becomes the next stage's inner.
     result_pes = plan.pes;
-    result_at = result_share;
+    result_at = stage.result;
     inner_total = result_total;
   }
 
   // Read-only optimized commit across everything that participated.
-  {
-    sim::TaskGroup commits(sched);
-    for (PeId dest : all_participants) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      commits.Spawn(CommitRound(c, coord, dest));
-    }
-    co_await commits.Wait();
-  }
+  const std::vector<PeId> committers(all_participants.begin(),
+                                     all_participants.end());
+  co_await parop::Commit(c, coord, committers,
+                         parop::CommitProtocol::kReadOnly);
   co_await UseCpu(c, coord, costs.terminate_txn);
   admission.ReleaseNow();
   c.metrics().RecordMultiwayJoin(sched.Now() - t0, stages, sched.Now());

@@ -13,11 +13,8 @@
 namespace pdblb {
 namespace {
 
-using parop::CommitRound;
-using parop::DeliverControl;
 using parop::LockPageShared;
 using parop::SplitEvenly;
-using parop::TwoPhaseCommitRounds;
 using parop::UseCpu;
 
 /// One data processor's share of a scan query: locate + read + filter the
@@ -28,8 +25,8 @@ using parop::UseCpu;
 /// until an elastic migration moves the fragment).
 sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
                          const Relation& rel, ScanAccess access,
-                         int64_t examined_share, int64_t selected_share,
-                         PeId coord, TxnId read_lock_txn) {
+                         int64_t selected_share, PeId coord,
+                         TxnId read_lock_txn) {
   const SystemConfig& cfg = c.config();
   const CpuCosts& costs = cfg.costs;
   ProcessingElement& pe = c.pe(exec);
@@ -102,7 +99,6 @@ sim::Task<> ScanFragment(Cluster& c, PeId node, PeId exec,
       break;
     }
   }
-  (void)examined_share;
 
   // Materialize and ship the selected tuples to the coordinator.
   co_await UseCpu(c, exec, selected_share * costs.write_output_tuple);
@@ -126,12 +122,7 @@ sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
   // Execution sites: the fragments' current owners (== nodes until an
   // elastic migration moves one).  Data processing, messages and admission
   // happen at the owner; geometry and the read-lock site stay at the home.
-  std::vector<PeId> execs(nodes);
-  if (c.elastic_enabled()) {
-    for (size_t i = 0; i < execs.size(); ++i) {
-      execs[i] = c.OwnerOf(rel.id(), nodes[i]);
-    }
-  }
+  const std::vector<PeId> execs = c.OwnersOf(rel.id(), nodes);
 
   const PeId coord = c.MemberPe(
       static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
@@ -150,29 +141,18 @@ sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
 
   // Subquery startup (the scan placement is prescribed by the data
   // allocation, so no control-node round trip is needed).
-  {
-    sim::TaskGroup startup(sched);
-    for (PeId dest : execs) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      startup.Spawn(DeliverControl(c, dest));
-    }
-    co_await startup.Wait();
-  }
+  co_await parop::StartSubqueries(c, coord, execs);
 
   const int64_t selected_total = static_cast<int64_t>(
       q.selectivity * static_cast<double>(rel.num_tuples()));
   std::vector<int64_t> selected_share =
       SplitEvenly(selected_total, static_cast<int>(nodes.size()));
-  std::vector<int64_t> examined_share =
-      SplitEvenly(rel.num_tuples(), static_cast<int>(nodes.size()));
 
   {
     sim::TaskGroup scans(sched);
     for (size_t i = 0; i < nodes.size(); ++i) {
       scans.Spawn(ScanFragment(c, nodes[i], execs[i], rel, q.access,
-                               examined_share[i], selected_share[i], coord,
-                               read_txn));
+                               selected_share[i], coord, read_txn));
     }
     co_await scans.Wait();
   }
@@ -182,19 +162,11 @@ sim::Task<> ExecuteScanQuery(Cluster& c, QueryAttempt* qa) {
 
   // Read-only optimized commit: one round to release the read locks at the
   // data processors.
-  {
-    sim::TaskGroup commits(sched);
-    for (PeId dest : execs) {
-      if (dest == coord) continue;
-      co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-      commits.Spawn(CommitRound(c, coord, dest));
-    }
-    co_await commits.Wait();
-    if (read_txn != 0) {
-      for (PeId node : nodes) c.pe(node).locks().ReleaseAll(read_txn);
-    }
-    read_locks.Disarm();
+  co_await parop::Commit(c, coord, execs, parop::CommitProtocol::kReadOnly);
+  if (read_txn != 0) {
+    for (PeId node : nodes) c.pe(node).locks().ReleaseAll(read_txn);
   }
+  read_locks.Disarm();
   co_await UseCpu(c, coord, costs.terminate_txn);
   admission.ReleaseNow();
   c.metrics().RecordScan(sched.Now() - t0, sched.Now());
@@ -284,12 +256,7 @@ sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
   const Relation& rel = c.db().target(q.relation);
   const std::vector<PeId>& nodes = c.db().target_nodes(q.relation);
   // Owner routing, exactly as in ExecuteScanQuery.
-  std::vector<PeId> execs(nodes);
-  if (c.elastic_enabled()) {
-    for (size_t i = 0; i < execs.size(); ++i) {
-      execs[i] = c.OwnerOf(rel.id(), nodes[i]);
-    }
-  }
+  const std::vector<PeId> execs = c.OwnersOf(rel.id(), nodes);
 
   const PeId coord = c.MemberPe(
       static_cast<PeId>(c.workload_rng().UniformInt(0, c.num_pes() - 1)));
@@ -313,15 +280,7 @@ sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
     for (PeId node : nodes) txn_locks.AddPe(node);
     co_await UseCpu(c, coord, costs.initiate_txn);
 
-    {
-      sim::TaskGroup startup(sched);
-      for (PeId dest : execs) {
-        if (dest == coord) continue;
-        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-        startup.Spawn(DeliverControl(c, dest));
-      }
-      co_await startup.Wait();
-    }
+    co_await parop::StartSubqueries(c, coord, execs);
 
     bool victim = false;
     {
@@ -338,14 +297,8 @@ sim::Task<> ExecuteUpdateQuery(Cluster& c, QueryAttempt* qa) {
     if (!victim) {
       // Full two-phase commit: every participant forces its log in the
       // prepare phase; the coordinator serializes its message sends.
-      sim::TaskGroup commits(sched);
-      for (PeId dest : execs) {
-        if (dest == coord) continue;
-        co_await UseCpu(c, coord, costs.send_message + costs.copy_message);
-        commits.Spawn(TwoPhaseCommitRounds(c, coord, dest));
-      }
-      co_await c.pe(coord).disks().LogWrite();
-      co_await commits.Wait();
+      co_await parop::Commit(c, coord, execs,
+                             parop::CommitProtocol::kTwoPhase);
       for (PeId node : nodes) c.pe(node).locks().ReleaseAll(txn);
       txn_locks.Disarm();
       co_await UseCpu(c, coord, costs.terminate_txn);
