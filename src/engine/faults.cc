@@ -194,6 +194,23 @@ sim::Task<> FaultInjector::RandomFaultLoop(PeId pe) {
   }
 }
 
+template <typename IsVictim>
+void FaultInjector::CancelAttempts(IsVictim is_victim) {
+  // Cancellation destroys the attempt frame mid-suspension, unwinding it
+  // through its cancellation-aware awaiters and RAII guards.  Iterate over
+  // a copy: each cancellation unregisters from active_ via
+  // AttemptRegistration.
+  std::vector<QueryAttempt*> victims;
+  for (QueryAttempt* qa : active_) {
+    if (is_victim(*qa)) victims.push_back(qa);
+  }
+  for (QueryAttempt* qa : victims) {
+    qa->outcome = StatusCode::kUnavailable;
+    cluster_.sched().Cancel(qa->work_id);
+    if (!qa->done->Done()) qa->done->CountDown();
+  }
+}
+
 void FaultInjector::ApplyCrash(PeId pe) {
   ProcessingElement& elem = cluster_.pe(pe);
   if (elem.failed()) return;
@@ -202,21 +219,11 @@ void FaultInjector::ApplyCrash(PeId pe) {
   cluster_.control().MarkDown(pe);  // idempotent: non-members already down
   cluster_.metrics().RecordPeCrash();
 
-  // Cancel every resident attempt.  Cancellation destroys the attempt frame
-  // mid-suspension; its cancellation-aware awaiters and RAII guards release
-  // buffer reservations, lock entries and admission slots at *all* PEs the
+  // Cancel every resident attempt.  Its RAII guards release buffer
+  // reservations, lock entries and admission slots at *all* PEs the
   // attempt touched (not just the crashed one), so the accounting below
-  // starts from a clean slate.  Iterate over a copy: each cancellation
-  // unregisters from active_ via AttemptRegistration.
-  std::vector<QueryAttempt*> victims;
-  for (QueryAttempt* qa : active_) {
-    if (qa->Touches(pe)) victims.push_back(qa);
-  }
-  for (QueryAttempt* qa : victims) {
-    qa->outcome = StatusCode::kUnavailable;
-    cluster_.sched().Cancel(qa->work_id);
-    if (!qa->done->Done()) qa->done->CountDown();
-  }
+  // starts from a clean slate.
+  CancelAttempts([pe](const QueryAttempt& qa) { return qa.Touches(pe); });
 
   // Abort any fragment migration touching this PE first: the cancelled
   // migrator frame returns its destination staging reservation, which the
@@ -238,15 +245,9 @@ void FaultInjector::ApplyPartition(PeId a, PeId b) {
   // retry path), unwinding their resources through the cancellation-aware
   // guards.  Attempts touching at most one endpoint keep running, and new
   // attempts fail fast at AddParticipant while the partition holds.
-  std::vector<QueryAttempt*> victims;
-  for (QueryAttempt* qa : active_) {
-    if (qa->Touches(a) && qa->Touches(b)) victims.push_back(qa);
-  }
-  for (QueryAttempt* qa : victims) {
-    qa->outcome = StatusCode::kUnavailable;
-    cluster_.sched().Cancel(qa->work_id);
-    if (!qa->done->Done()) qa->done->CountDown();
-  }
+  CancelAttempts([a, b](const QueryAttempt& qa) {
+    return qa.Touches(a) && qa.Touches(b);
+  });
 }
 
 void FaultInjector::ApplyHeal(PeId a, PeId b) {

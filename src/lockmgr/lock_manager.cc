@@ -8,21 +8,28 @@
 namespace pdblb {
 
 bool LockManager::CanGrant(const Entry& entry, TxnId txn, LockMode mode) {
-  bool already_holds_shared = false;
   for (const Holder& h : entry.holders) {
     if (h.txn == txn) {
       if (h.mode == LockMode::kExclusive || mode == LockMode::kShared) {
         return true;  // already strong enough (or re-requesting S)
       }
-      already_holds_shared = true;
-      continue;
+      continue;  // S->X upgrade: only if no other holder conflicts
     }
     if (!Compatible(h.mode, mode)) return false;
   }
-  // Upgrade S->X: only if sole holder (other holders handled above).
-  if (already_holds_shared) return true;
-  (void)already_holds_shared;
   return true;
+}
+
+void LockManager::Grant(LockKey key, Entry& entry, TxnId txn, LockMode mode) {
+  auto it = std::find_if(entry.holders.begin(), entry.holders.end(),
+                         [&](const Holder& h) { return h.txn == txn; });
+  if (it == entry.holders.end()) {
+    entry.holders.push_back(Holder{txn, mode});
+    held_[txn].push_back(key);
+  } else if (mode == LockMode::kExclusive) {
+    it->mode = LockMode::kExclusive;
+  }
+  ++locks_granted_;
 }
 
 sim::Task<bool> LockManager::Lock(TxnId txn, LockKey key, LockMode mode) {
@@ -35,20 +42,7 @@ sim::Task<bool> LockManager::Lock(TxnId txn, LockKey key, LockMode mode) {
       [&](const Holder& h) { return h.txn == txn; });
 
   if ((entry.waiters.empty() || holds_here) && CanGrant(entry, txn, mode)) {
-    // Grant immediately (fresh grant or upgrade).
-    bool found = false;
-    for (Holder& h : entry.holders) {
-      if (h.txn == txn) {
-        found = true;
-        if (mode == LockMode::kExclusive) h.mode = LockMode::kExclusive;
-        break;
-      }
-    }
-    if (!found) {
-      entry.holders.push_back(Holder{txn, mode});
-      held_[txn].push_back(key);
-    }
-    ++locks_granted_;
+    Grant(key, entry, txn, mode);  // fresh grant or upgrade
     co_return true;
   }
 
@@ -108,19 +102,7 @@ void LockManager::GrantWaiters(LockKey key, Entry& entry) {
     Waiter* w = entry.waiters.front();
     if (!CanGrant(entry, w->txn, w->mode)) break;
     entry.waiters.pop_front();
-    bool found = false;
-    for (Holder& h : entry.holders) {
-      if (h.txn == w->txn) {
-        found = true;
-        if (w->mode == LockMode::kExclusive) h.mode = LockMode::kExclusive;
-        break;
-      }
-    }
-    if (!found) {
-      entry.holders.push_back(Holder{w->txn, w->mode});
-      held_[w->txn].push_back(key);
-    }
-    ++locks_granted_;
+    Grant(key, entry, w->txn, w->mode);
     w->granted = true;
     assert(w->handle);
     sched_.ScheduleHandle(sched_.Now(), w->handle, tag_);

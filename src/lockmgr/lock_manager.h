@@ -114,6 +114,10 @@ class LockManager {
   /// True if `txn` could be granted `mode` on `entry` right now.
   static bool CanGrant(const Entry& entry, TxnId txn, LockMode mode);
 
+  /// Records a grant of `mode` on `key` to `txn`: a new holder (noted in
+  /// held_), or an upgrade of the txn's existing hold to kExclusive.
+  void Grant(LockKey key, Entry& entry, TxnId txn, LockMode mode);
+
   /// Grants queue heads while possible.
   void GrantWaiters(LockKey key, Entry& entry);
 

@@ -556,31 +556,6 @@ TEST(SampleStatTest, EmptyStatIsZero) {
   EXPECT_EQ(s.count(), 0);
 }
 
-TEST(TimeWeightedStatTest, PiecewiseConstantAverage) {
-  TimeWeightedStat s(0.0);
-  s.Set(10.0, 0.0);
-  s.Set(20.0, 5.0);   // 10 for [0,5)
-  s.Set(0.0, 10.0);   // 20 for [5,10)
-  // average over [0, 20]: (10*5 + 20*5 + 0*10) / 20 = 7.5
-  EXPECT_DOUBLE_EQ(s.TimeAverage(20.0), 7.5);
-}
-
-TEST(TimeWeightedStatTest, ResetWindowDropsHistory) {
-  TimeWeightedStat s(5.0);
-  s.Set(5.0, 0.0);
-  s.ResetWindow(10.0);
-  EXPECT_DOUBLE_EQ(s.TimeAverage(20.0), 5.0);
-}
-
-TEST(WindowedCounterTest, WindowDelta) {
-  WindowedCounter c;
-  c.Add(5);
-  c.ResetWindow();
-  c.Add(3);
-  EXPECT_EQ(c.total(), 8);
-  EXPECT_EQ(c.InWindow(), 3);
-}
-
 // Property-style sweep: with k servers and m jobs of equal service time s,
 // the makespan is ceil(m/k)*s and utilization is m*s/(k*makespan).
 struct ResourceLawParam {
