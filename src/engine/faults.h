@@ -160,11 +160,11 @@ class FaultInjector {
   void ApplyCrash(PeId pe);
   void ApplyRecovery(PeId pe);
   void ApplyPartition(PeId a, PeId b);
+  void ApplyHeal(PeId a, PeId b);
   // Cancels every resident attempt for which `is_victim(attempt)` holds,
   // with outcome kUnavailable (the retry path).
   template <typename IsVictim>
   void CancelAttempts(IsVictim is_victim);
-  void ApplyHeal(PeId a, PeId b);
 
   Cluster& cluster_;
   std::vector<QueryAttempt*> active_;

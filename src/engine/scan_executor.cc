@@ -3,7 +3,6 @@
 #include "engine/scan_executor.h"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "engine/faults.h"
