@@ -3,6 +3,7 @@
 #include "lockmgr/deadlock_detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <set>
 
@@ -81,25 +82,38 @@ std::vector<TxnId> DeadlockDetector::FindCycleVictims(
 }
 
 std::vector<TxnId> DeadlockDetector::DetectAndResolve() {
-  // Collect the wait-for edges site by site, recording which lock manager
-  // contributed each waiter.  A victim is then aborted at its recorded site
-  // directly, rather than probing every PE's lock table in turn — the
-  // collected edges are the only cross-PE state the detector reads.
+  // Collect the wait-for edges site by site, recording for each waiter the
+  // site and the key it waits on.  A victim is then aborted at that one lock
+  // entry directly, rather than probing every PE's lock table in turn — the
+  // collected edges are the only cross-PE state the detector reads.  Within
+  // one site a transaction waits on at most one key (OLTP and update lock
+  // one key at a time, a 2PL scan runs one source per home).  Across sites
+  // it may wait at several: under CcScheme::kTwoPhaseLocking a query's
+  // per-home scans wait concurrently under one TxnId.  The map keeps only
+  // the last-collected site, so the abort reaches that site alone and the
+  // victim's waits elsewhere stay queued.
+  struct WaitSite {
+    size_t site;
+    LockKey key;
+  };
   std::vector<WaitForEdge> edges;
-  std::map<TxnId, size_t> waiter_site;
+  std::map<TxnId, WaitSite> waiter_site;
   for (size_t i = 0; i < lock_managers_.size(); ++i) {
     const size_t before = edges.size();
     lock_managers_[i]->CollectWaitForEdges(&edges);
     for (size_t j = before; j < edges.size(); ++j) {
-      waiter_site[edges[j].waiter] = i;  // a txn waits at one PE at a time
+      const WaitSite here{i, edges[j].key};
+      auto [it, fresh] = waiter_site.try_emplace(edges[j].waiter, here);
+      assert(fresh || it->second.site != i || it->second.key == here.key);
+      it->second = here;
     }
   }
 
   std::vector<TxnId> victims = FindCycleVictims(edges);
   for (TxnId victim : victims) {
-    auto site = waiter_site.find(victim);
-    if (site != waiter_site.end()) {
-      lock_managers_[site->second]->AbortWaiter(victim);
+    auto it = waiter_site.find(victim);
+    if (it != waiter_site.end()) {
+      lock_managers_[it->second.site]->AbortWaiter(victim, it->second.key);
     }
   }
   total_victims_ += static_cast<int64_t>(victims.size());

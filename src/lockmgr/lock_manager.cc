@@ -134,35 +134,38 @@ void LockManager::CollectWaitForEdges(std::vector<WaitForEdge>* edges) const {
     for (const Waiter* w : entry.waiters) {
       for (const Holder& h : entry.holders) {
         if (h.txn != w->txn && !Compatible(h.mode, w->mode)) {
-          edges->push_back(WaitForEdge{w->txn, h.txn});
+          edges->push_back(WaitForEdge{w->txn, h.txn, key});
         }
       }
-      // Waiters also wait for earlier incompatible waiters (FCFS queue),
-      // which matters for X behind S chains; keep it simple and conservative
-      // by only reporting holder edges — sufficient for cycle detection in
-      // the workloads modeled here.
+      // Only holder edges are reported.  A waiter also waits for every
+      // earlier incompatible waiter in the FCFS queue, and those edges are
+      // missing: a cycle that closes through a waiter chain (e.g. S queued
+      // behind a queued X) is never detected and ends only by timeout.
     }
   }
 }
 
-bool LockManager::AbortWaiter(TxnId victim) {
+bool LockManager::AbortWaiter(TxnId victim, LockKey key) {
+  auto entry_it = table_.find(key);
+  if (entry_it == table_.end()) return false;
+  Entry& entry = entry_it->second;
   bool found = false;
-  for (auto& [key, entry] : table_) {
-    for (auto it = entry.waiters.begin(); it != entry.waiters.end();) {
-      if ((*it)->txn == victim) {
-        Waiter* w = *it;
-        it = entry.waiters.erase(it);
-        w->aborted = true;
-        assert(w->handle);
-        sched_.ScheduleHandle(sched_.Now(), w->handle, tag_);
-        found = true;
-      } else {
-        ++it;
-      }
+  for (auto it = entry.waiters.begin(); it != entry.waiters.end();) {
+    if ((*it)->txn == victim) {
+      Waiter* w = *it;
+      it = entry.waiters.erase(it);
+      w->aborted = true;
+      assert(w->handle);
+      sched_.ScheduleHandle(sched_.Now(), w->handle, tag_);
+      found = true;
+    } else {
+      ++it;
     }
-    // Removing a blocked waiter may unblock the queue behind it.
-    GrantWaiters(key, entry);
   }
+  // Removing a blocked waiter may unblock the queue behind it.  Every other
+  // entry's queue is unchanged, and each release, cancel and abort already
+  // regranted its own entry, so no other entry can have a grantable head.
+  if (found) GrantWaiters(key, entry);
   return found;
 }
 

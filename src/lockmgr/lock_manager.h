@@ -6,10 +6,11 @@
 // periodically collects wait-for edges from all PEs and resolves global
 // deadlocks by aborting a victim.
 //
-// Join queries in the evaluated workloads run read-only against relations
-// the OLTP load does not touch (the paper points to multiversion CC for
-// read-only queries), so the lock manager is exercised by the OLTP classes
-// and by dedicated tests.
+// Under the default multiversion scheme, read-only queries take no locks
+// (the paper points to multiversion CC for read-only queries), so the lock
+// manager sees the OLTP classes, the update class's exclusive page locks
+// and elastic fragment moves.  Under CcScheme::kTwoPhaseLocking, join and
+// scan queries also take long shared page locks at every home they read.
 
 #ifndef PDBLB_LOCKMGR_LOCK_MANAGER_H_
 #define PDBLB_LOCKMGR_LOCK_MANAGER_H_
@@ -48,10 +49,11 @@ struct LockKeyHash {
   }
 };
 
-/// A wait-for edge: `waiter` waits for `holder`.
+/// A wait-for edge: `waiter`, queued on `key`, waits for `holder`.
 struct WaitForEdge {
   TxnId waiter;
   TxnId holder;
+  LockKey key;
 };
 
 /// Per-PE lock table implementing strict 2PL.
@@ -78,9 +80,10 @@ class LockManager {
   /// Appends this PE's wait-for edges (waiter -> each incompatible holder).
   void CollectWaitForEdges(std::vector<WaitForEdge>* edges) const;
 
-  /// Aborts a waiting transaction: removes its pending requests and resumes
-  /// it with failure.  Returns true if the txn was found waiting here.
-  bool AbortWaiter(TxnId victim);
+  /// Aborts a waiting transaction: removes its pending request on `key`
+  /// (the key its wait-for edges name) and resumes it with failure.  Returns
+  /// true if the txn was found waiting on `key`.
+  bool AbortWaiter(TxnId victim, LockKey key);
 
   /// True if `txn` currently holds any lock here (for tests).
   bool HoldsAnyLock(TxnId txn) const;

@@ -129,6 +129,7 @@ TEST(LockManagerTest, WaitForEdgesReported) {
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0].waiter, 2);
   EXPECT_EQ(edges[0].holder, 1);
+  EXPECT_EQ(edges[0].key, (LockKey{1, 7}));
 }
 
 TEST(LockManagerTest, AbortWaiterResumesWithFailure) {
@@ -138,12 +139,49 @@ TEST(LockManagerTest, AbortWaiterResumesWithFailure) {
   sched.Spawn(LockOne(lm, 1, {1, 7}, LockMode::kExclusive, &log));
   sched.Spawn(LockOne(lm, 2, {1, 7}, LockMode::kExclusive, &log));
   sched.RunUntil(1.0);
-  EXPECT_TRUE(lm.AbortWaiter(2));
+  EXPECT_TRUE(lm.AbortWaiter(2, {1, 7}));
   sched.Run();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1].first, 2);
   EXPECT_FALSE(log[1].second);  // aborted
   EXPECT_EQ(lm.deadlock_aborts(), 1);
+}
+
+TEST(LockManagerTest, AbortingQueuedXGrantsSharedBehindItOnlyOnItsKey) {
+  sim::Scheduler sched;
+  LockManager lm(sched);
+  std::vector<std::pair<TxnId, bool>> log;
+  const LockKey a{1, 7};
+  const LockKey b{1, 8};
+  sched.Spawn(LockOne(lm, 1, a, LockMode::kShared, &log));
+  sched.Spawn(LockOne(lm, 2, a, LockMode::kExclusive, &log));  // waits
+  sched.Spawn(LockOne(lm, 3, a, LockMode::kShared, &log));     // behind X
+  sched.Spawn(LockOne(lm, 4, b, LockMode::kExclusive, &log));
+  sched.Spawn(LockOne(lm, 5, b, LockMode::kShared, &log));     // waits
+  sched.RunUntil(1.0);
+  ASSERT_EQ(log.size(), 2u);  // txns 1 and 4
+
+  // The victim is aborted only on the key it waits on.
+  EXPECT_FALSE(lm.AbortWaiter(2, b));
+  EXPECT_TRUE(lm.AbortWaiter(2, a));
+  sched.Run();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[2], (std::pair<TxnId, bool>{2, false}));  // aborted
+  EXPECT_EQ(log[3], (std::pair<TxnId, bool>{3, true}));   // S joins S
+  EXPECT_EQ(lm.deadlock_aborts(), 1);
+
+  // Key b's queue is unchanged: txn 5 still waits for txn 4, and it is the
+  // only waiter left anywhere.
+  std::vector<WaitForEdge> edges;
+  lm.CollectWaitForEdges(&edges);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].waiter, 5);
+  EXPECT_EQ(edges[0].holder, 4);
+  EXPECT_EQ(edges[0].key, b);
+  lm.ReleaseAll(4);
+  sched.Run();
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log[4], (std::pair<TxnId, bool>{5, true}));
 }
 
 TEST(DeadlockDetectorTest, FindsSimpleCycle) {
