@@ -19,10 +19,13 @@ using BatchChannel = sim::Channel<Batch>;
 using Channels = std::vector<std::unique_ptr<BatchChannel>>;
 
 /// Ships one tuple batch over the network, then hands it to the consumer.
+/// Not a coroutine: the hand-off rides in the Send task's own frame, so
+/// the network holds one frame per in-flight message (the TaskGroup that
+/// spawns it adds its member wrapper).
 sim::Task<> SendBatch(Cluster& c, PeId src, PeId dst, int64_t tuples,
                       int tuple_size, BatchChannel* channel) {
-  co_await c.net().Transfer(src, dst, tuples * tuple_size);
-  channel->Send(Batch{tuples});
+  return c.net().Send(src, dst, tuples * tuple_size,
+                      [channel, tuples] { channel->Send(Batch{tuples}); });
 }
 
 /// Wire + receiver-side cost of a control message whose send costs the

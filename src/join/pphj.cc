@@ -101,7 +101,7 @@ void Pphj::TryGrow() {
 
 sim::Task<> Pphj::InsertInnerBatch(int64_t tuples) {
   assert(acquired_);
-  co_await EnsureMinimumMemory();
+  if (reserved_pages_ < min_pages_) co_await EnsureMinimumMemory();
   TryGrow();
 
   inner_received_ += tuples;
@@ -125,7 +125,7 @@ sim::Task<> Pphj::InsertInnerBatch(int64_t tuples) {
 
 sim::Task<> Pphj::ProbeBatch(int64_t tuples) {
   assert(acquired_);
-  co_await EnsureMinimumMemory();
+  if (reserved_pages_ < min_pages_) co_await EnsureMinimumMemory();
   TryGrow();
 
   // Direct probes hit resident partitions; the rest is deferred.

@@ -100,7 +100,9 @@ class Pphj : public LocalJoin, public MemoryVictim {
   int SpillDownTo(int limit);
   /// Flushes accumulated temp-file appends in write batches.
   void FlushAppends(bool final_flush);
-  /// Re-acquires the minimum working space after a deep steal.
+  /// Re-acquires the minimum working space after a deep steal.  The
+  /// per-batch paths test `reserved_pages_ < min_pages_` before calling it,
+  /// so a batch that holds its minimum builds no coroutine frame for it.
   sim::Task<> EnsureMinimumMemory();
 
   sim::Scheduler& sched_;

@@ -45,65 +45,15 @@ int64_t Network::PacketsFor(int64_t bytes) const {
 }
 
 sim::Task<> Network::Transfer(PeId src, PeId dst, int64_t bytes) {
-  if (src == dst) co_return;  // co-located: shared-memory hand-off
-
-  int64_t packets = PacketsFor(bytes);
-  ++messages_sent_;
-  packets_sent_ += packets;
-  bytes_sent_ += bytes;
-
-  // Sender-side CPU: message setup plus one buffer copy per packet.
-  co_await cpus_[src]->Use(InstructionsToMs(
-      costs_.send_message + costs_.copy_message * packets, mips_));
-
-  // Wire latency (store-and-forward across packets).  Traced as network
-  // time with the sending PE as origin; the CPU shares of the transfer are
-  // charged on (and attributed to) the endpoint CPUs above/below.  A slow
-  // link stretches the wire share only (the endpoint CPU work is unchanged).
-  double wire_ms =
-      config_.wire_time_per_packet_ms * static_cast<double>(packets);
-  if (!link_delay_factor_.empty()) {
-    wire_ms *= link_delay_factor_[LinkIndex(src, dst)];
-  }
-  co_await sched_.Delay(
-      wire_ms,
-      sim::TraceTag(sim::TraceSubsystem::kNetwork,
-                    static_cast<uint16_t>(src)));
-
-  // Receiver-side CPU.
-  co_await cpus_[dst]->Use(InstructionsToMs(
-      costs_.receive_message + costs_.copy_message * packets, mips_));
+  return Send(src, dst, bytes, [] {});
 }
 
 sim::Task<> Network::ControlMessage(PeId src, PeId dst) {
-  return Transfer(src, dst, 1);
+  return Send(src, dst, 1, [] {});
 }
 
 sim::Task<> Network::TransferBulk(PeId src, PeId dst, int64_t bytes) {
-  if (src == dst) co_return;  // co-located: shared-memory hand-off
-
-  int64_t packets = PacketsFor(bytes);
-  ++bulk_messages_sent_;
-  bulk_bytes_sent_ += bytes;
-
-  // Same cost structure as Transfer — migration batches are real messages
-  // competing for the endpoint CPUs and the wire — but accounted in the
-  // bulk counters so foreground message stats stay comparable.
-  co_await cpus_[src]->Use(InstructionsToMs(
-      costs_.send_message + costs_.copy_message * packets, mips_));
-
-  double wire_ms =
-      config_.wire_time_per_packet_ms * static_cast<double>(packets);
-  if (!link_delay_factor_.empty()) {
-    wire_ms *= link_delay_factor_[LinkIndex(src, dst)];
-  }
-  co_await sched_.Delay(
-      wire_ms,
-      sim::TraceTag(sim::TraceSubsystem::kNetwork,
-                    static_cast<uint16_t>(src)));
-
-  co_await cpus_[dst]->Use(InstructionsToMs(
-      costs_.receive_message + costs_.copy_message * packets, mips_));
+  return Send(src, dst, bytes, [] {}, Traffic::kBulk);
 }
 
 void Network::ResetStats() {

@@ -33,12 +33,29 @@ class Network {
           const CpuCosts& costs, double mips,
           std::vector<sim::Resource*> cpus);
 
-  /// Transfers `bytes` from `src` to `dst` as one logical message:
+  /// Which counters a message is accounted in.
+  enum class Traffic {
+    kForeground,  ///< messages_sent / packets_sent / bytes_sent
+    kBulk,        ///< bulk_messages_sent / bulk_bytes_sent (migration)
+  };
+
+  /// Transfers `bytes` from `src` to `dst` as one logical message, then
+  /// runs `then()` once the receiver has processed it:
   ///   sender CPU:   send_message + copy_message * packets
   ///   wire:         wire_time_per_packet * packets (pure delay)
   ///   receiver CPU: receive_message + copy_message * packets
-  /// Completes when the receiver has processed the message.  Local transfers
-  /// (src == dst) are free: co-located operators communicate via memory.
+  /// Local transfers (src == dst) are free: co-located operators
+  /// communicate via memory, so `then()` runs as soon as the task starts
+  /// and no counter moves.  The continuation lives in this task's frame, so
+  /// a caller that only hands the message on (a redistribution batch into
+  /// its consumer's channel) needs no coroutine of its own: one frame per
+  /// in-flight message.  A cancelled Send never runs `then()`.
+  template <typename Then>
+  sim::Task<> Send(PeId src, PeId dst, int64_t bytes, Then then,
+                   Traffic traffic = Traffic::kForeground);
+
+  /// Send with nothing to run on delivery.  Completes when the receiver
+  /// has processed the message.
   sim::Task<> Transfer(PeId src, PeId dst, int64_t bytes);
 
   /// A short control message (startup, commit votes): one packet.
@@ -56,7 +73,7 @@ class Network {
   // --- link faults (engine/faults.h) --------------------------------------
   // Per-link partition flags and wire-delay multipliers.  The state tables
   // are lazily allocated on the first Set* call, so the fault-free path
-  // touches nothing; Transfer itself only consults the multiplier (>= 1:
+  // touches nothing; Send itself only consults the multiplier (>= 1:
   // a slowdown never speeds a link up).  Partitions
   // are enforced one level up: the FaultInjector fails attempts that would
   // span a cut link (kUnavailable into the Supervise retry path) instead of
@@ -102,6 +119,44 @@ class Network {
   int64_t bulk_messages_sent_ = 0;
   int64_t bulk_bytes_sent_ = 0;
 };
+
+template <typename Then>
+sim::Task<> Network::Send(PeId src, PeId dst, int64_t bytes, Then then,
+                          Traffic traffic) {
+  if (src != dst) {
+    const int64_t packets = PacketsFor(bytes);
+    if (traffic == Traffic::kForeground) {
+      ++messages_sent_;
+      packets_sent_ += packets;
+      bytes_sent_ += bytes;
+    } else {
+      ++bulk_messages_sent_;
+      bulk_bytes_sent_ += bytes;
+    }
+
+    // Sender-side CPU: message setup plus one buffer copy per packet.
+    co_await cpus_[src]->Use(InstructionsToMs(
+        costs_.send_message + costs_.copy_message * packets, mips_));
+
+    // Wire latency (store-and-forward across packets).  Traced as network
+    // time with the sending PE as origin; the CPU shares of the transfer
+    // are charged on (and attributed to) the endpoint CPUs.  A slow link
+    // stretches the wire share only (the endpoint CPU work is unchanged).
+    double wire_ms =
+        config_.wire_time_per_packet_ms * static_cast<double>(packets);
+    if (!link_delay_factor_.empty()) {
+      wire_ms *= link_delay_factor_[LinkIndex(src, dst)];
+    }
+    co_await sched_.Delay(
+        wire_ms, sim::TraceTag(sim::TraceSubsystem::kNetwork,
+                               static_cast<uint16_t>(src)));
+
+    // Receiver-side CPU.
+    co_await cpus_[dst]->Use(InstructionsToMs(
+        costs_.receive_message + costs_.copy_message * packets, mips_));
+  }
+  then();
+}
 
 }  // namespace pdblb
 

@@ -6,7 +6,9 @@
 // granted-but-pending), Channel, Latch, TaskGroup, LockManager and the
 // buffer manager's memory queue.  Each test parks a victim, cancels it
 // mid-wait, and checks that (a) the victim never runs, (b) waiters behind it
-// are served normally, and (c) no server/lock/reservation is leaked.
+// are served normally, and (c) no server/lock/reservation is leaked.  A
+// Network::Send cancelled in flight must never run its delivery
+// continuation.
 // Finally, a composite scenario with cancellations must replay bit-identical
 // (same event trace bytes, same event count) across reruns, and scheduler
 // teardown must destroy every frame still suspended.
@@ -20,6 +22,7 @@
 #include "engine/cluster.h"
 #include "iosim/disk.h"
 #include "lockmgr/lock_manager.h"
+#include "netsim/network.h"
 #include "simkern/channel.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
@@ -183,6 +186,63 @@ TEST(CancelTest, CancelWaiterParkedInTaskGroupWait) {
   EXPECT_FALSE(victim);
   EXPECT_TRUE(other);
   EXPECT_EQ(group.active(), 0);
+}
+
+// Two PEs joined by the default network (20 MIPS): a one-packet Send takes
+// 0.5 ms of sender CPU, 0.1 ms on the wire and 0.75 ms of receiver CPU.
+struct TwoPeNetwork {
+  Scheduler sched;
+  Resource cpu0{sched, 1, "cpu0"};
+  Resource cpu1{sched, 1, "cpu1"};
+  Network net{sched, NetworkConfig{}, CpuCosts{}, 20.0, {&cpu0, &cpu1}};
+};
+
+TEST(CancelTest, CancelSendMidWireNeverDelivers) {
+  TwoPeNetwork n;
+  bool delivered = false;
+  bool behind = false;
+  uint64_t victim_id = n.sched.SpawnWithId(
+      n.net.Send(0, 1, 100, [&delivered] { delivered = true; }));
+  n.sched.Spawn(n.net.Send(0, 1, 100, [&behind] { behind = true; }));
+  // 0.55 ms: the victim is on the wire, the second send holds cpu0.
+  n.sched.ScheduleCallback(0.55,
+                           [&] { EXPECT_TRUE(n.sched.Cancel(victim_id)); });
+  n.sched.Run();
+  EXPECT_FALSE(delivered) << "a cancelled send ran its continuation";
+  EXPECT_TRUE(behind);
+  EXPECT_EQ(n.cpu0.busy(), 0);
+  EXPECT_EQ(n.cpu1.busy(), 0);
+  EXPECT_EQ(n.cpu1.completed(), 1u) << "only the surviving send is received";
+  EXPECT_EQ(n.sched.pending_events(), 0u);
+}
+
+TEST(CancelTest, CancelSendQueuedOnReceiverCpuReturnsTheServer) {
+  TwoPeNetwork n;
+  bool holder = false;
+  bool delivered = false;
+  bool behind = false;
+  n.sched.Spawn(UseAndFlag(n.cpu1, 10.0, &holder));
+  uint64_t victim_id = n.sched.SpawnWithId(
+      n.net.Send(0, 1, 100, [&delivered] { delivered = true; }));
+  SimTime behind_at = -1;
+  n.sched.Spawn(n.net.Send(0, 1, 100, [&] {
+    behind = true;
+    behind_at = n.sched.Now();
+  }));
+  // 5 ms: both sends wait for cpu1, the victim first in line.
+  n.sched.ScheduleCallback(5.0, [&] {
+    EXPECT_EQ(n.cpu1.queue_length(), 2u);
+    EXPECT_TRUE(n.sched.Cancel(victim_id));
+    EXPECT_EQ(n.cpu1.queue_length(), 1u);
+  });
+  n.sched.Run();
+  EXPECT_TRUE(holder);
+  EXPECT_FALSE(delivered) << "a cancelled send ran its continuation";
+  EXPECT_TRUE(behind) << "the send behind the cancelled one was never served";
+  // The send behind takes cpu1 straight after the holder.
+  EXPECT_NEAR(behind_at, 10.0 + 0.75, 1e-9);
+  EXPECT_EQ(n.cpu1.busy(), 0);
+  EXPECT_EQ(n.cpu1.completed(), 2u);
 }
 
 Task<> LockDelayRelease(Scheduler& sched, LockManager& lm, TxnId txn,

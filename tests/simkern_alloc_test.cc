@@ -10,16 +10,20 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "bufmgr/buffer_manager.h"
 #include "common/config.h"
 #include "iosim/disk.h"
+#include "netsim/network.h"
 #include "simkern/channel.h"
 #include "simkern/latch.h"
 #include "simkern/resource.h"
 #include "simkern/scheduler.h"
 #include "simkern/task.h"
+#include "simkern/task_group.h"
 #include "simkern/tracer.h"
 
 namespace {
@@ -324,6 +328,56 @@ TEST(SchedulerAllocTest, CancellationAllocatesNothing) {
       << "cancelling " << (cancelled - cancelled_before)
       << " parked frames allocated "
       << (g_allocations - allocations_before) << " times";
+}
+
+// --- network ---------------------------------------------------------------
+// A redistribution stream: every round a TaskGroup spawns one Network::Send
+// per (source, destination) pair, each delivering into its destination's
+// channel, as a PAROP phase does.  Each message lives in one Send frame
+// recycled through the arena; the CPU queues, the calendar and the channel
+// rings stay at their high-water marks, so the stream allocates nothing
+// after warm-up.
+
+Task<> SendStream(Scheduler& sched, Network& net, Channel<int64_t>& ch,
+                  int64_t rounds) {
+  const PeId routes[][2] = {{0, 3}, {1, 3}, {2, 3}, {3, 3}, {0, 1}, {1, 2}};
+  for (int64_t i = 0; i < rounds; ++i) {
+    TaskGroup sends(sched);
+    for (const auto& route : routes) {
+      Channel<int64_t>* dest = &ch;
+      sends.Spawn(net.Send(route[0], route[1], 3 * 8192,
+                           [dest, i] { dest->Send(i); }));
+    }
+    co_await sends.Wait();
+  }
+  ch.Close();
+}
+
+TEST(SchedulerAllocTest, NetworkSendStreamIntoChannelAllocatesNothing) {
+  Scheduler sched;
+  sched.Reserve(/*events=*/256);
+  std::vector<std::unique_ptr<Resource>> cpus;
+  std::vector<Resource*> cpu_table;
+  for (int pe = 0; pe < 4; ++pe) {
+    cpus.push_back(std::make_unique<Resource>(sched, 1, "cpu"));
+    cpu_table.push_back(cpus.back().get());
+  }
+  Network net(sched, NetworkConfig{}, CpuCosts{}, 20.0, cpu_table);
+  Channel<int64_t> ch(sched);
+  uint64_t received = 0;
+  sched.Spawn(PingPongConsumer(ch, &received));
+  sched.Spawn(SendStream(sched, net, ch, /*rounds=*/1000000));
+  sched.RunUntil(1000.0);  // warm-up: arena, registry, queues, rings
+  ASSERT_GT(received, 1000u);
+
+  uint64_t allocations_before = g_allocations;
+  uint64_t received_before = received;
+  int64_t messages_before = net.messages_sent();
+  sched.RunUntil(50000.0);
+  EXPECT_GT(received - received_before, 30000u);
+  EXPECT_GT(net.messages_sent() - messages_before, 25000);
+  EXPECT_EQ(g_allocations - allocations_before, 0u)
+      << "a steady stream of network sends allocated";
 }
 
 // --- buffer pool -----------------------------------------------------------
